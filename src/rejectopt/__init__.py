@@ -70,7 +70,6 @@ from .moba import (
     MobaConfig,
     NoFeasibleSolutionError,
     crowding_distance_assignment,
-    dominates,
     elite_preservation,
     evaluate,
     evolve,

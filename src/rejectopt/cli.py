@@ -248,18 +248,34 @@ def cmd_curves(args) -> int:
         svg = line_chart_svg(series, title, "abstention parameter", title.split("-")[0])
         _write_text(os.path.join(args.out, filename), svg)
     print(f"wrote {len(points)} curve points and {len(charts)} charts to {args.out}")
+    missing = [p.reject_param for p in points if p.model == "moba" and math.isnan(p.observed_rej)]
+    if missing:
+        listed = ", ".join(repr(k) for k in missing)
+        print(f"  [{len(missing)} grid point(s) found no feasible pair; moba rows nan: {listed}]")
     return 0
 
 
 def _metrics_from_record(rec: dict, priors: ClassPriors) -> EssentialMetrics:
-    """Rebuild both rate families from an exported solution record."""
+    """Rebuild both rate families from an exported solution record.
+
+    A null fpr (fnr) marks a fully rejected negative (positive) class: its
+    among-classified rates stay None and its classified among-all rates are 0.
+    """
     fpr_cls, fnr_cls = rec["fpr"], rec["fnr"]
     rpr, rnr = rec["rpr"], rec["rnr"]
-    tpr_cls, tnr_cls = 1.0 - fnr_cls, 1.0 - fpr_cls
-    tpr_all, fnr_all = tpr_cls * (1.0 - rpr), fnr_cls * (1.0 - rpr)
-    tnr_all, fpr_all = tnr_cls * (1.0 - rnr), fpr_cls * (1.0 - rnr)
+    if fnr_cls is None:
+        tpr_cls, tpr_all, fnr_all = None, 0.0, 0.0
+    else:
+        tpr_cls = 1.0 - fnr_cls
+        tpr_all, fnr_all = tpr_cls * (1.0 - rpr), fnr_cls * (1.0 - rpr)
+    if fpr_cls is None:
+        tnr_cls, tnr_all, fpr_all = None, 0.0, 0.0
+    else:
+        tnr_cls = 1.0 - fpr_cls
+        tnr_all, fpr_all = tnr_cls * (1.0 - rnr), fpr_cls * (1.0 - rnr)
     classified = priors.p_pos * (1.0 - rpr) + priors.p_neg * (1.0 - rnr)
     acc = (priors.p_pos * tpr_all + priors.p_neg * tnr_all) / classified if classified > 0 else None
+    both = tpr_cls is not None and tnr_cls is not None
     return EssentialMetrics(
         tpr_all=tpr_all,
         fnr_all=fnr_all,
@@ -273,8 +289,8 @@ def _metrics_from_record(rec: dict, priors: ClassPriors) -> EssentialMetrics:
         fpr_cls=fpr_cls,
         rej=priors.p_pos * rpr + priors.p_neg * rnr,
         acc=acc,
-        auc=(tpr_cls + tnr_cls) / 2.0,
-        gmean=math.sqrt(max(tpr_cls * tnr_cls, 0.0)),
+        auc=(tpr_cls + tnr_cls) / 2.0 if both else None,
+        gmean=math.sqrt(max(tpr_cls * tnr_cls, 0.0)) if both else None,
     )
 
 

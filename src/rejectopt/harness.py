@@ -74,6 +74,9 @@ class ComparisonCounts:
 
 @dataclass(frozen=True)
 class CurvePoint:
+    """One model's test-set scores at one grid value. A "moba" point whose
+    optimizer found no feasible pair has no metrics and ``observed_rej`` nan."""
+
     reject_param: float
     model: str  # "moba" or "ba"
     acc: float | None
@@ -298,7 +301,8 @@ def curve_sweep(
     solution with the best ``metric`` under the caps is kept; the bounded
     abstention model runs with overall cap k. Each selected classifier is
     scored on the test set; one point per (k, model), sorted by k then
-    model name.
+    model name. A grid value where the optimizer finds no feasible pair
+    gets a "moba" point without metrics (see :class:`CurvePoint`).
     """
     valid.require_both_classes()
     test.require_both_classes()
@@ -308,10 +312,14 @@ def curve_sweep(
     for k, child in zip(grid, children):
         moba_seed = int(child.generate_state(1, np.uint64)[0])
         cfg_k = replace(cfg, p_max=k, n_max=k, seed=moba_seed)
-        result = evolve(valid, cfg_k)
-        solutions = evaluate_solutions([ind.thresholds for ind in result.pareto], valid)
-        best = select_best_under_cap(solutions, metric, max_rpr=k, max_rnr=k)
-        points.append(_curve_point(k, "moba", test, best.thresholds))
+        try:
+            result = evolve(valid, cfg_k)
+        except NoFeasibleSolutionError:
+            points.append(CurvePoint(k, "moba", None, None, None, math.nan))
+        else:
+            solutions = evaluate_solutions([ind.thresholds for ind in result.pareto], valid)
+            best = select_best_under_cap(solutions, metric, max_rpr=k, max_rnr=k)
+            points.append(_curve_point(k, "moba", test, best.thresholds))
         ba = ba_optimize(valid, k, cfn=cfn, cfp=cfp)
         points.append(_curve_point(k, "ba", test, ba.thresholds))
     points.sort(key=lambda p: (p.reject_param, p.model))

@@ -134,23 +134,38 @@ class EssentialMetrics:
     gmean: float | None
 
 
+def confusion_counts(data: ScoredDataset, t1s, t2s) -> tuple[np.ndarray, ...]:
+    """Vectorized rejection rule: counts for many threshold pairs at once.
+
+    ``t1s`` and ``t2s`` are scalars or equal-shape arrays with t1 <= t2
+    elementwise. Returns (tp, fn, rp, fp, tn, rn), each an int64 array (or
+    numpy integer for scalar input) of the thresholds' shape, computed with
+    the same rule as :func:`classify_with_rejection`.
+    """
+    if len(data) == 0:
+        raise ValueError("dataset is empty")
+    t1s = np.asarray(t1s, dtype=np.float64)
+    t2s = np.asarray(t2s, dtype=np.float64)
+    if not (t1s <= t2s).all():  # also rejects NaNs
+        raise ValueError("need t1 <= t2 for every pair")
+    pos = data.pos_scores_sorted
+    neg = data.neg_scores_sorted
+    fn = pos.searchsorted(t1s, side="right")
+    tp = pos.size - pos.searchsorted(t2s, side="right")
+    rp = pos.size - tp - fn
+    tn = neg.searchsorted(t1s, side="right")
+    fp = neg.size - neg.searchsorted(t2s, side="right")
+    rn = neg.size - fp - tn
+    return tp, fn, rp, fp, tn, rn
+
+
 def classify_with_rejection(data: ScoredDataset, t: ThresholdPair) -> RejectionConfusion:
     """Apply the rejection rule and tally counts against true labels.
 
     Predicted positive iff score > t2; predicted negative iff score <= t1;
     rejected otherwise (score in (t1, t2]).
     """
-    if len(data) == 0:
-        raise ValueError("dataset is empty")
-    pos = data.pos_scores_sorted
-    neg = data.neg_scores_sorted
-    fn = int(np.searchsorted(pos, t.t1, side="right"))
-    tp = pos.size - int(np.searchsorted(pos, t.t2, side="right"))
-    rp = pos.size - tp - fn
-    tn = int(np.searchsorted(neg, t.t1, side="right"))
-    fp = neg.size - int(np.searchsorted(neg, t.t2, side="right"))
-    rn = neg.size - fp - tn
-    return RejectionConfusion(tp=tp, fn=fn, rp=rp, fp=fp, tn=tn, rn=rn)
+    return RejectionConfusion(*map(int, confusion_counts(data, t.t1, t.t2)))
 
 
 def essential_metrics(c: RejectionConfusion) -> EssentialMetrics:

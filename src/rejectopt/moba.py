@@ -7,7 +7,16 @@ handling is a death penalty: infeasible individuals get objectives (1, 1).
 Determinism contract: one seeded generator per run, consumed in a fixed
 order — initialization draws, then per generation selection draws, the
 crossover u's (pair by pair), and the mutation u's (child by child).
-Objective evaluation consumes no randomness.
+Objective evaluation consumes no randomness. The selection draws of one
+generation come from a single ``integers(0, n, size=2 * popsize)`` call,
+which yields the same stream as that many scalar calls.
+
+Ranking is the two-objective O(N log N) sort; it lists every front in index
+order, so ties between equal objective vectors break by position.
+Ranks and crowding distances are assigned once per generation, at survivor
+selection over parents plus children (crowding comes from each front of that
+combined set); the next generation's tournaments and the final Pareto set
+reuse them, as in the reference NSGA-II (Deb et al., IEEE TEC 2002).
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import ScoredDataset
-from .metrics import ThresholdPair, classify_with_rejection, essential_metrics
+from .metrics import ThresholdPair, classify_with_rejection, confusion_counts, essential_metrics
 
 Objectives = tuple[float, float]
 FrontSet = list[list[int]]  # fronts partition the population, best rank first
@@ -108,58 +117,67 @@ class EvolveResult:
     mutation_fallbacks: int = 0
 
 
+def evaluate_batch(
+    ts: list[ThresholdPair], valid: ScoredDataset, p_max: float, n_max: float
+) -> list[tuple[Objectives, bool]]:
+    """:func:`evaluate` for many pairs with one confusion-kernel call.
+
+    Rates are float64 quotients of the same integer counts, so they equal
+    the Python floats of the per-pair path bit for bit.
+    """
+    valid.require_both_classes()
+    t1 = np.array([t.t1 for t in ts])
+    t2 = np.array([t.t2 for t in ts])
+    tp, fn, rp, fp, tn, rn = confusion_counts(valid, t1, t2)
+    feasible = (rp / valid.n_pos <= p_max) & (rn / valid.n_neg <= n_max) & (t1 < t2)
+    pos_cls = tp + fn
+    neg_cls = fp + tn
+    # death penalty, and rate 1.0 for a fully rejected class
+    f1 = np.where(feasible & (neg_cls > 0), fp / np.maximum(neg_cls, 1), 1.0)
+    f2 = np.where(feasible & (pos_cls > 0), fn / np.maximum(pos_cls, 1), 1.0)
+    return list(zip(zip(f1.tolist(), f2.tolist()), feasible.tolist()))
+
+
 def evaluate(
     t: ThresholdPair, valid: ScoredDataset, p_max: float, n_max: float
 ) -> tuple[Objectives, bool]:
     """Objectives (fpr, fnr) on the tuning set, death-penalty on infeasibility."""
-    c = classify_with_rejection(valid, t)
-    m = essential_metrics(c)
-    feasible = m.rpr <= p_max and m.rnr <= n_max and t.is_strict()
-    if not feasible:
-        return (1.0, 1.0), False
-    f1 = m.fpr_cls if m.fpr_cls is not None else 1.0
-    f2 = m.fnr_cls if m.fnr_cls is not None else 1.0
-    return (f1, f2), True
-
-
-def dominates(a: Objectives, b: Objectives) -> bool:
-    """True iff a is componentwise <= b with at least one strict inequality."""
-    return a[0] <= b[0] and a[1] <= b[1] and (a[0] < b[0] or a[1] < b[1])
+    return evaluate_batch([t], valid, p_max, n_max)[0]
 
 
 def fast_nondominated_sort(pop: list[Individual]) -> FrontSet:
-    """Partition indices into fronts, best rank first; sets each ``rank``."""
+    """Partition indices into fronts, best rank first, each front in index
+    order; sets each ``rank``.
+
+    Two-objective sweep (Jensen, IEEE TEC 2003), O(N log N): individuals are
+    visited in lexicographic (f1, f2) order, so every dominator of an
+    individual is visited before it. The last member of each front holds the
+    front's smallest f2, and the fronts dominating an individual form a
+    prefix, so a binary search over those last members finds its front.
+    """
     if not pop:
         raise ValueError("population is empty")
-    n = len(pop)
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    domination_count = [0] * n
-    fronts: FrontSet = [[]]
     objs = [ind.objectives for ind in pop]
-    for p in range(n):
-        for q in range(p + 1, n):
-            if dominates(objs[p], objs[q]):
-                dominated_by[p].append(q)
-                domination_count[q] += 1
-            elif dominates(objs[q], objs[p]):
-                dominated_by[q].append(p)
-                domination_count[p] += 1
-    for p in range(n):
-        if domination_count[p] == 0:
-            pop[p].rank = 0
-            fronts[0].append(p)
-    i = 0
-    while fronts[i]:
-        nxt: list[int] = []
-        for p in fronts[i]:
-            for q in dominated_by[p]:
-                domination_count[q] -= 1
-                if domination_count[q] == 0:
-                    pop[q].rank = i + 1
-                    nxt.append(q)
-        i += 1
-        fronts.append(nxt)
-    fronts.pop()  # last front is always empty
+    fronts: FrontSet = []
+    lasts: list[Objectives] = []  # last-visited member of each front
+    for i in sorted(range(len(objs)), key=objs.__getitem__):
+        o = objs[i]
+        lo, hi = 0, len(fronts)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            # lasts[mid][0] <= o[0] by the visiting order
+            if lasts[mid][1] <= o[1] and lasts[mid] != o:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo == len(fronts):
+            fronts.append([])
+            lasts.append(o)
+        fronts[lo].append(i)
+        lasts[lo] = o
+        pop[i].rank = lo
+    for front in fronts:
+        front.sort()
     return fronts
 
 
@@ -194,12 +212,14 @@ def crowding_distance_assignment(front: list[Individual]) -> list[float]:
 def tournament_selection(
     pop: list[Individual], rng: np.random.Generator, count: int
 ) -> list[Individual]:
-    """Binary tournaments: lower rank wins, then larger crowding, then first drawn."""
-    n = len(pop)
+    """Binary tournaments: lower rank wins, then larger crowding, then first drawn.
+
+    The 2 * count contestants come from one ``rng.integers`` call, drawn in
+    the order (first, second) per tournament.
+    """
+    drawn = [pop[int(i)] for i in rng.integers(0, len(pop), size=2 * count)]
     winners: list[Individual] = []
-    for _ in range(count):
-        a = pop[int(rng.integers(0, n))]
-        b = pop[int(rng.integers(0, n))]
+    for a, b in zip(drawn[0::2], drawn[1::2]):
         if a.rank is None or b.rank is None or a.crowding is None or b.crowding is None:
             raise ValueError("tournament requires ranks and crowding distances assigned")
         if b.rank < a.rank or (b.rank == a.rank and b.crowding > a.crowding):
@@ -309,8 +329,8 @@ def polynomial_mutation(
     variables, up to ``max_retries`` redraws; on exhaustion the input is
     returned unchanged and the second element of the result is True.
     """
-    if not lower < upper:
-        raise ValueError(f"need lower < upper, got ({lower}, {upper})")
+    if not (lower < upper and math.isfinite(upper - lower)):
+        raise ValueError(f"need lower < upper with a finite span, got ({lower}, {upper})")
     apply = (rng.random() < mutation_prob, rng.random() < mutation_prob)
     if not (apply[0] or apply[1]):
         return x, False
@@ -342,17 +362,31 @@ def pop_initialization(
 
 
 def resolve_bounds(valid: ScoredDataset, cfg: MobaConfig) -> tuple[float, float]:
+    """Variable bounds: cfg's if set, else the tuning set's score range.
+
+    Raises ValueError when the range is empty or its width overflows to inf
+    (initialization and mutation scale draws by it).
+    """
     if cfg.var_lower is not None:
-        return cfg.var_lower, cfg.var_upper
-    lo, hi = valid.score_range()
-    if not lo < hi:
-        raise ValueError("degenerate score range; supply var_lower/var_upper explicitly")
+        lo, hi = cfg.var_lower, cfg.var_upper
+    else:
+        lo, hi = valid.score_range()
+        if not lo < hi:
+            raise ValueError("degenerate score range; supply var_lower/var_upper explicitly")
+    if not math.isfinite(hi - lo):
+        raise ValueError(
+            f"variable range ({lo}, {hi}) is too wide: its width overflows; rescale the scores"
+        )
     return lo, hi
 
 
 def elite_preservation(combined: list[Individual], popsize: int) -> list[Individual]:
     """Keep the best ``popsize`` individuals: whole fronts in rank order,
-    overflow front truncated by descending crowding distance."""
+    overflow front truncated by descending crowding distance.
+
+    Every survivor leaves with its rank and its crowding distance within its
+    front of ``combined``; tournaments and the final Pareto set reuse them.
+    """
     fronts = fast_nondominated_sort(combined)
     survivors: list[Individual] = []
     for front_idx in fronts:
@@ -372,11 +406,13 @@ def elite_preservation(combined: list[Individual], popsize: int) -> list[Individ
     return survivors
 
 
-def _make_individual(
-    t: ThresholdPair, valid: ScoredDataset, p_max: float, n_max: float
-) -> Individual:
-    obj, feasible = evaluate(t, valid, p_max, n_max)
-    return Individual(thresholds=t, objectives=obj, feasible=feasible)
+def _make_individuals(
+    ts: list[ThresholdPair], valid: ScoredDataset, p_max: float, n_max: float
+) -> list[Individual]:
+    return [
+        Individual(thresholds=t, objectives=obj, feasible=feasible)
+        for t, (obj, feasible) in zip(ts, evaluate_batch(ts, valid, p_max, n_max))
+    ]
 
 
 def _generation_stats(generation: int, pop: list[Individual]) -> GenerationStats:
@@ -410,20 +446,13 @@ def evolve(
     lo, hi = bounds
 
     rng = np.random.default_rng(cfg.seed)
-    pop = [
-        _make_individual(t, valid, cfg.p_max, cfg.n_max)
-        for t in pop_initialization(valid, run_cfg, rng)
-    ]
+    initial = pop_initialization(valid, run_cfg, rng)
+    pop = elite_preservation(_make_individuals(initial, valid, cfg.p_max, cfg.n_max), cfg.popsize)
     stats = [_generation_stats(0, pop)]
     crossover_fallbacks = 0
     mutation_fallbacks = 0
 
     for gen in range(1, cfg.gensize + 1):
-        fronts = fast_nondominated_sort(pop)
-        for front_idx in fronts:
-            members = [pop[i] for i in front_idx]
-            for ind, d in zip(members, crowding_distance_assignment(members)):
-                ind.crowding = d
         parents = tournament_selection(pop, rng, cfg.popsize)
 
         child_thresholds: list[ThresholdPair] = []
@@ -446,16 +475,11 @@ def evolve(
             mutation_fallbacks += fb
             mutated.append(y)
 
-        children = [_make_individual(t, valid, cfg.p_max, cfg.n_max) for t in mutated]
+        children = _make_individuals(mutated, valid, cfg.p_max, cfg.n_max)
         pop = elite_preservation(pop + children, cfg.popsize)
         stats.append(_generation_stats(gen, pop))
 
-    fronts = fast_nondominated_sort(pop)
-    for front_idx in fronts:
-        members = [pop[i] for i in front_idx]
-        for ind, d in zip(members, crowding_distance_assignment(members)):
-            ind.crowding = d
-    pareto = [pop[i] for i in fronts[0] if pop[i].feasible]
+    pareto = [ind for ind in pop if ind.rank == 0 and ind.feasible]
     if not pareto:
         raise NoFeasibleSolutionError(cfg.p_max, cfg.n_max)
     return EvolveResult(

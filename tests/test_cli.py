@@ -58,6 +58,18 @@ class TestOptimize:
             ) == 0
         assert (a / "pareto.json").read_bytes() == (b / "pareto.json").read_bytes()
 
+    def test_overflowing_score_range_is_data_error(self, tmp_path, capsys):
+        from rejectopt.data import ScoredDataset
+
+        path = tmp_path / "huge.csv"
+        write_scored_csv(ScoredDataset([-1e308, -1.0, 1.0, 1e308], [1, -1, 1, -1]), path)
+        code = run(
+            "optimize", "--scores", str(path), "--pmax", "0.5", "--nmax", "0.5",
+            "--out", str(tmp_path / "o"), "--popsize", "4", "--gensize", "2",
+        )
+        assert code == 2
+        assert "overflows" in capsys.readouterr().err
+
     def test_no_feasible_exit_code(self, tmp_path):
         # dense evenly spaced scores plus near-zero caps: search finds nothing
         n = 400
@@ -179,6 +191,29 @@ class TestCurves:
             assert svg.startswith("<svg") and 'viewBox="0 0 800 600"' in svg
             assert svg.count("<polyline") >= 2  # both model series present
 
+    def test_no_feasible_grid_point_noted(self, scores_csv, tmp_path, monkeypatch, capsys):
+        import rejectopt.harness as harness
+        from rejectopt.moba import NoFeasibleSolutionError
+
+        real_evolve = harness.evolve
+
+        def evolve_failing_at_021(valid, cfg):
+            if cfg.p_max == 0.21:
+                raise NoFeasibleSolutionError(cfg.p_max, cfg.n_max)
+            return real_evolve(valid, cfg)
+
+        monkeypatch.setattr(harness, "evolve", evolve_failing_at_021)
+        out = tmp_path / "curves"
+        code = run(
+            "curves", "--scores", scores_csv, "--seed", "2", "--out", str(out),
+            "--popsize", "8", "--gensize", "10",
+        )
+        assert code == 0
+        note = capsys.readouterr().out.splitlines()[-1]
+        assert "grid point(s) found no feasible pair; moba rows nan:" in note
+        assert "0.21" in note.rstrip("]").split(": ")[-1].split(", ")
+        assert "0.21,moba,nan,nan,nan,nan" in (out / "curves.csv").read_text().splitlines()
+
 
 class TestSelect:
     @pytest.fixture()
@@ -247,6 +282,43 @@ class TestSelect:
             "--metric", "acc", "--cap", "-0.5", "--out", str(tmp_path / "x"),
         )
         assert code == 3
+
+    def test_fully_rejected_class_record(self, tmp_path):
+        # baseline writes fpr = null when every negative is rejected
+        doc = {
+            "metadata": {"n_pos": 4, "n_neg": 6},
+            "solutions": [
+                {"t1": 0.0, "t2": 1.0, "fpr": None, "fnr": 0.25,
+                 "rpr": 0.0, "rnr": 1.0, "feasible": True},
+                {"t1": 0.2, "t2": 0.4, "fpr": 0.5, "fnr": 0.25,
+                 "rpr": 0.0, "rnr": 0.0, "feasible": True},
+            ],
+        }
+        path = tmp_path / "pareto.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "cost"
+        code = run(
+            "select", "--pareto", str(path), "--mode", "min-cost",
+            "--ctp", "0", "--ctn", "0", "--cfp", "10", "--cfn", "1",
+            "--crp", "1", "--crn", "1", "--out", str(out),
+        )
+        assert code == 0
+        chosen = json.loads((out / "selection.json").read_text())
+        # costs: 0.4*0.25 + 0.6*1 = 0.7 for the first, 0.4*0.25 + 0.6*5 = 3.1 for the second
+        assert chosen["solution"]["t1"] == 0.0 and chosen["solution"]["fpr"] is None
+        assert chosen["selection"]["expected_cost"] == pytest.approx(0.7)
+        assert chosen["solution"]["auc"] is None and chosen["solution"]["gmean"] is None
+        assert chosen["solution"]["acc"] == pytest.approx(0.75)
+
+        out = tmp_path / "auc"
+        code = run(
+            "select", "--pareto", str(path), "--mode", "best-metric",
+            "--metric", "auc", "--out", str(out),
+        )
+        assert code == 0
+        chosen = json.loads((out / "selection.json").read_text())
+        assert chosen["solution"]["t1"] == 0.2  # an undefined AUC never wins
+        assert chosen["selection"]["value"] == pytest.approx(0.625)
 
     def test_requires_metric_in_best_metric_mode(self, pareto_json, tmp_path):
         code = run(

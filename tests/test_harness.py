@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,30 @@ class TestCurveSweep:
         a = curve_sweep(valid, test, cfg, seed=5, grid=[0.1, 0.2])
         b = curve_sweep(valid, test, cfg, seed=5, grid=[0.1, 0.2])
         assert a == b
+
+    def test_no_feasible_grid_point_keeps_sweeping(self, splits, monkeypatch, tmp_path):
+        import rejectopt.harness as harness
+        from rejectopt.moba import NoFeasibleSolutionError
+
+        def evolve_failing_at_016(valid, cfg):
+            if cfg.p_max == 0.16:
+                raise NoFeasibleSolutionError(cfg.p_max, cfg.n_max)
+            return evolve(valid, cfg)
+
+        monkeypatch.setattr(harness, "evolve", evolve_failing_at_016)
+        valid, test = splits
+        cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=12, gensize=15)
+        points = curve_sweep(valid, test, cfg, seed=1, grid=[0.08, 0.16, 0.24])
+        assert [(p.reject_param, p.model) for p in points] == [
+            (k, m) for k in (0.08, 0.16, 0.24) for m in ("ba", "moba")
+        ]
+        missing = points[3]
+        assert (missing.acc, missing.auc, missing.gmean) == (None, None, None)
+        assert math.isnan(missing.observed_rej)
+        assert all(not math.isnan(p.observed_rej) for i, p in enumerate(points) if i != 3)
+        write_curve_csv(tmp_path / "curves.csv", points)
+        rows = (tmp_path / "curves.csv").read_text().splitlines()
+        assert rows[4] == "0.16,moba,nan,nan,nan,nan"
 
     def test_equal_caps_imply_overall_cap_on_tuning_set(self, splits):
         valid, test = splits

@@ -11,6 +11,7 @@ from rejectopt.metrics import (
     ThresholdPair,
     ba_objective,
     classify_with_rejection,
+    confusion_counts,
     empirical_priors,
     essential_metrics,
     expected_cost,
@@ -87,6 +88,38 @@ class TestClassifyWithRejection:
         a = classify_with_rejection(data, ThresholdPair(0.2, 0.7))
         b = classify_with_rejection(data, ThresholdPair(0.35, 0.65))
         assert a == b
+
+
+class TestConfusionCounts:
+    def test_batch_matches_direct_counting(self):
+        rng = np.random.default_rng(21)
+        data = ScoredDataset(np.round(rng.normal(0, 1, 120), 1), rng.choice([1, -1], 120))
+        t1 = np.round(rng.uniform(-2, 2, 50), 1)
+        t2 = t1 + np.round(rng.uniform(0, 1, 50), 1)
+        counts = confusion_counts(data, t1, t2)
+        for k in range(50):
+            pred_pos = data.scores > t2[k]
+            pred_neg = data.scores <= t1[k]
+            rej = ~(pred_pos | pred_neg)
+            pos, neg = data.labels == 1, data.labels == -1
+            direct = [
+                (pred_pos & pos).sum(), (pred_neg & pos).sum(), (rej & pos).sum(),
+                (pred_pos & neg).sum(), (pred_neg & neg).sum(), (rej & neg).sum(),
+            ]
+            assert [int(c[k]) for c in counts] == [int(v) for v in direct]
+
+    def test_one_pair_call_is_classify(self):
+        data = synth_two_gaussian(30, 40, 0.5, -0.5, 1.0, seed=3)
+        c = classify_with_rejection(data, ThresholdPair(-0.3, 0.4))
+        counts = confusion_counts(data, [-0.3], [0.4])
+        assert [int(a[0]) for a in counts] == [c.tp, c.fn, c.rp, c.fp, c.tn, c.rn]
+
+    def test_unordered_or_nan_pairs_rejected(self):
+        data = make_dataset([(0.9, 1), (0.1, -1)])
+        with pytest.raises(ValueError, match="t1 <= t2"):
+            confusion_counts(data, [0.1, 0.6], [0.2, 0.4])
+        with pytest.raises(ValueError, match="t1 <= t2"):
+            confusion_counts(data, [float("nan")], [0.4])
 
 
 class TestEssentialMetrics:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from rejectopt.data import ScoredDataset, synth_two_gaussian
-from rejectopt.metrics import ThresholdPair
+from rejectopt.metrics import ThresholdPair, classify_with_rejection, essential_metrics
 from rejectopt.moba import (
     MobaConfig,
     NoFeasibleSolutionError,
     evaluate,
+    evaluate_batch,
     evolve,
     hypervolume_2d,
     pareto_document,
@@ -37,6 +38,30 @@ class TestEvaluate:
         valid = ScoredDataset([0.9, 0.1], [1, -1])
         obj, feasible = evaluate(ThresholdPair(0.5, 0.5), valid, 0.5, 0.5)
         assert not feasible and obj == (1.0, 1.0)
+
+
+    def test_batch_equals_per_pair_floats(self):
+        def per_pair(t, data, p_max, n_max):
+            m = essential_metrics(classify_with_rejection(data, t))
+            if not (m.rpr <= p_max and m.rnr <= n_max and t.is_strict()):
+                return (1.0, 1.0), False
+            f1 = m.fpr_cls if m.fpr_cls is not None else 1.0
+            f2 = m.fnr_cls if m.fnr_cls is not None else 1.0
+            return (f1, f2), True
+
+        rng = np.random.default_rng(5)
+        for trial in range(60):
+            data = synth_two_gaussian(
+                int(rng.integers(1, 70)), int(rng.integers(1, 70)), 1.0, -1.0, 1.0, seed=trial
+            )
+            if trial % 2:  # tied scores
+                data = ScoredDataset(np.round(data.scores, 1), data.labels)
+            ts = [ThresholdPair(*sorted(map(float, rng.uniform(-3, 3, 2)))) for _ in range(30)]
+            ts += [ThresholdPair(0.2, 0.2), ThresholdPair(-9.0, 9.0)]  # degenerate, all rejected
+            p_max, n_max = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
+            got = evaluate_batch(ts, data, p_max, n_max)
+            assert got == [per_pair(t, data, p_max, n_max) for t in ts]
+            assert all(type(f) is float for obj, _ in got for f in obj)
 
 
 class TestHypervolume:
@@ -120,6 +145,15 @@ class TestEvolve:
         cfg = MobaConfig(p_max=0.0, n_max=0.0, popsize=4, gensize=2, seed=0)
         with pytest.raises(NoFeasibleSolutionError, match="0.0"):
             evolve(valid, cfg)
+
+    def test_overflowing_score_range_raises(self):
+        # hi - lo overflows to inf; initialization used to loop forever
+        valid = ScoredDataset([-1e308, -1.0, 1.0, 1e308], [1, -1, 1, -1])
+        cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=4, gensize=2)
+        with pytest.raises(ValueError, match="overflows"):
+            evolve(valid, cfg)
+        with pytest.raises(ValueError, match="overflows"):
+            evolve(valid, cfg, score_range=(-1e308, 1e308))
 
     def test_pareto_document_schema(self, valid):
         cfg = MobaConfig(p_max=0.1, n_max=0.1, popsize=8, gensize=10, seed=4)

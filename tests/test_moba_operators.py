@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rejectopt.data import ScoredDataset, synth_two_gaussian
 from rejectopt.metrics import ThresholdPair
@@ -9,7 +11,6 @@ from rejectopt.moba import (
     Individual,
     MobaConfig,
     crowding_distance_assignment,
-    dominates,
     elite_preservation,
     fast_nondominated_sort,
     mutation_delta,
@@ -41,10 +42,16 @@ class StubRng:
         self._ri += 1
         return v
 
-    def integers(self, low, high):
-        v = self._ints[self._ii]
-        self._ii += 1
-        return v
+    def integers(self, low, high, size=None):
+        if size is None:
+            v = self._ints[self._ii]
+            self._ii += 1
+            return v
+        vs = self._ints[self._ii : self._ii + size]
+        if len(vs) < size:
+            raise AssertionError("integer stream exhausted")
+        self._ii += size
+        return vs
 
     @property
     def randoms_consumed(self):
@@ -73,16 +80,24 @@ def naive_front_sort(objectives):
     return fronts
 
 
+def sort_pair(a, b):
+    return fast_nondominated_sort([ind(*a), ind(*b)])
+
+
 class TestDominates:
+    """Pairwise dominance as the sort applies it."""
+
     def test_one_strict_one_equal(self):
-        assert dominates((0.1, 0.2), (0.2, 0.2))
+        assert sort_pair((0.1, 0.2), (0.2, 0.2)) == [[0], [1]]
+        assert sort_pair((0.2, 0.2), (0.1, 0.2)) == [[1], [0]]
+        assert sort_pair((0.2, 0.2), (0.2, 0.1)) == [[1], [0]]
 
     def test_equality_never_dominates(self):
-        assert not dominates((0.1, 0.2), (0.1, 0.2))
+        assert sort_pair((0.1, 0.2), (0.1, 0.2)) == [[0, 1]]
 
     def test_trade_off_incomparable(self):
-        assert not dominates((0.1, 0.3), (0.2, 0.2))
-        assert not dominates((0.2, 0.2), (0.1, 0.3))
+        assert sort_pair((0.1, 0.3), (0.2, 0.2)) == [[0, 1]]
+        assert sort_pair((0.2, 0.2), (0.1, 0.3)) == [[0, 1]]
 
 
 class TestFastNondominatedSort:
@@ -105,6 +120,31 @@ class TestFastNondominatedSort:
             pop = [ind(*o) for o in objs]
             fronts = fast_nondominated_sort(pop)
             assert [sorted(f) for f in fronts] == naive_front_sort(objs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
+                    lambda p: (p[0] / 4, p[1] / 4)
+                ),
+                st.just((1.0, 1.0)),  # death-penalty cluster
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_naive_oracle_with_ties(self, objs, shuffler):
+        # coarse grid, duplicate vectors and penalty clusters: many exact ties
+        objs = objs + [objs[i] for i in range(0, len(objs), 3)]
+        shuffler.shuffle(objs)
+        pop = [ind(*o) for o in objs]
+        fronts = fast_nondominated_sort(pop)
+        assert fronts == naive_front_sort(objs)  # each front listed in index order
+        assert [p.rank for p in pop] == [
+            next(r for r, f in enumerate(fronts) if i in f) for i in range(len(objs))
+        ]
 
     def test_front_set_invariants(self):
         rng = np.random.default_rng(3)
@@ -175,6 +215,32 @@ class TestTournamentSelection:
     def test_full_tie_first_drawn_wins(self):
         pop = [self.ranked(1, 2.0), self.ranked(1, 2.0)]
         assert tournament_selection(pop, StubRng(ints=[1, 0]), 1) == [pop[1]]
+
+    def test_matches_scalar_reference_loop(self):
+        def reference(pop, rng, count):
+            winners = []
+            for _ in range(count):
+                a = pop[int(rng.integers(0, len(pop)))]
+                b = pop[int(rng.integers(0, len(pop)))]
+                if b.rank < a.rank or (b.rank == a.rank and b.crowding > a.crowding):
+                    winners.append(b)
+                else:
+                    winners.append(a)
+            return winners
+
+        gen = np.random.default_rng(11)
+        for seed in range(200):
+            n = int(gen.integers(4, 41))
+            pop = [
+                self.ranked(int(r), float(c))
+                for r, c in zip(gen.integers(0, 3, n), gen.choice([0.5, 1.0, math.inf], n))
+            ]
+            count = 2 * int(gen.integers(2, 21))
+            fast_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = tournament_selection(pop, fast_rng, count)
+            want = reference(pop, ref_rng, count)
+            assert [id(w) for w in got] == [id(w) for w in want]
+            assert fast_rng.random() == ref_rng.random()  # streams stay aligned
 
     def test_requires_assignment(self):
         pop = [ind(0, 1), ind(1, 0)]
