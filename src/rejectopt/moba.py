@@ -16,7 +16,9 @@ order, so ties between equal objective vectors break by position.
 Ranks and crowding distances are assigned once per generation, at survivor
 selection over parents plus children (crowding comes from each front of that
 combined set); the next generation's tournaments and the final Pareto set
-reuse them, as in the reference NSGA-II (Deb et al., IEEE TEC 2002).
+reuse them, as in the reference NSGA-II (Deb et al., IEEE TEC 2002). The
+initial population passes through the same survivor selection, which
+reorders it front by front before the first tournament.
 """
 
 from __future__ import annotations
