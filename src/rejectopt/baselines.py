@@ -1,10 +1,13 @@
 """Published comparison models: the ROC-convex-hull expected-cost minimizer
 with its reject-activation condition, and the bounded-abstention model.
 
-Both are solved by exhaustive search over candidate thresholds (midpoints
-between consecutive distinct scores plus below-min/above-max sentinels),
-which reaches every achievable confusion matrix on a finite tuning set and
-is exact at desk scale.
+Both are solved exactly over candidate thresholds (midpoints between
+consecutive distinct scores plus below-min/above-max sentinels), which reach
+every achievable confusion matrix on a finite tuning set. The hull model
+evaluates all ordered hull-vertex pairs in one confusion-kernel call. The
+bounded-abstention model sweeps only the band of candidate pairs its reject
+budget allows, in chunks of bounded size, so its memory stays linear in the
+number of examples.
 """
 
 from __future__ import annotations
@@ -19,9 +22,11 @@ from .metrics import (
     CostMatrix,
     ThresholdPair,
     classify_with_rejection,
+    confusion_counts,
     essential_metrics,
-    expected_cost,
 )
+
+_PAIR_CELLS = 1 << 14  # cells per ba_optimize chunk; small chunks stay in cache
 
 
 @dataclass(frozen=True)
@@ -59,10 +64,22 @@ class BaResult:
 
 
 def candidate_thresholds(data: ScoredDataset) -> np.ndarray:
-    """Ascending candidate cuts: midpoints of distinct scores plus sentinels."""
+    """Ascending candidate cuts: midpoints of distinct scores plus sentinels.
+
+    Every cut keeps ``s_i <= cut_i < s_{i+1}`` over the distinct scores
+    ``s``, so consecutive cuts differ by at least one example, also at huge
+    magnitudes and between adjacent floats: a midpoint that rounds up to the
+    upper score or overflows falls back to the lower score, and a sentinel
+    that ``s ± 1`` cannot move steps one float outward.
+    """
     s = np.unique(data.scores)
-    mids = (s[:-1] + s[1:]) / 2.0
-    return np.concatenate(([s[0] - 1.0], mids, [s[-1] + 1.0]))
+    lo, hi = s[:-1], s[1:]
+    with np.errstate(over="ignore"):
+        mids = (lo + hi) / 2.0
+        below = np.minimum(s[0] - 1.0, np.nextafter(s[0], -np.inf))
+        above = np.maximum(s[-1] + 1.0, np.nextafter(s[-1], np.inf))
+    mids = np.where((lo <= mids) & (mids < hi), mids, lo)
+    return np.concatenate(([below], mids, [above]))
 
 
 def roc_points(valid: ScoredDataset) -> list[RocPoint]:
@@ -72,15 +89,14 @@ def roc_points(valid: ScoredDataset) -> list[RocPoint]:
     the curve from (0,0) (above-max sentinel) to (1,1) (below-min).
     """
     valid.require_both_classes()
-    cands = candidate_thresholds(valid)
-    pos = valid.pos_scores_sorted
-    neg = valid.neg_scores_sorted
-    points = []
-    for c in cands[::-1]:
-        tpr = (pos.size - int(np.searchsorted(pos, c, side="right"))) / pos.size
-        fpr = (neg.size - int(np.searchsorted(neg, c, side="right"))) / neg.size
-        points.append(RocPoint(fpr=fpr, tpr=tpr, threshold=float(c)))
-    return points
+    cands = candidate_thresholds(valid)[::-1]
+    tp, _, _, fp, _, _ = confusion_counts(valid, cands, cands)
+    tprs = (tp / valid.n_pos).tolist()
+    fprs = (fp / valid.n_neg).tolist()
+    return [
+        RocPoint(fpr=fpr, tpr=tpr, threshold=c)
+        for fpr, tpr, c in zip(fprs, tprs, cands.tolist())
+    ]
 
 
 def _cross(o: RocPoint, a: RocPoint, b: RocPoint) -> float:
@@ -118,13 +134,6 @@ def reject_activation(costs: CostMatrix) -> bool:
     return check_reject_activation(costs).activated
 
 
-def _pair_cost(
-    valid: ScoredDataset, t: ThresholdPair, costs: CostMatrix, priors: ClassPriors
-) -> tuple[float, float]:
-    m = essential_metrics(classify_with_rejection(valid, t))
-    return expected_cost(m, priors, costs), m.rej
-
-
 def tortorella_optimize(
     valid: ScoredDataset, costs: CostMatrix, priors: ClassPriors
 ) -> TortorellaResult:
@@ -138,36 +147,34 @@ def tortorella_optimize(
     """
     valid.require_both_classes()
     hull = rocch(roc_points(valid))
-    thresholds = sorted({p.threshold for p in hull})
+    thresholds = np.array(sorted({p.threshold for p in hull}))
     check = check_reject_activation(costs)
 
-    best_key: tuple | None = None
-    best: tuple[ThresholdPair, float, float] | None = None  # pair, cost, rej
-    if not check.activated:
-        for t in thresholds:
-            pair = ThresholdPair(t, t)
-            cost, rej = _pair_cost(valid, pair, costs, priors)
-            key = (cost, t)
-            if best_key is None or key < best_key:
-                best_key, best = key, (pair, cost, rej)
+    if check.activated:
+        ii, jj = np.triu_indices(thresholds.size)
     else:
-        for i, t1 in enumerate(thresholds):
-            for t2 in thresholds[i:]:
-                pair = ThresholdPair(t1, t2)
-                cost, rej = _pair_cost(valid, pair, costs, priors)
-                key = (cost, rej, t2 - t1, t1, t2)
-                if best_key is None or key < best_key:
-                    best_key, best = key, (pair, cost, rej)
-    assert best is not None
-    pair, cost, _ = best
-    m = essential_metrics(classify_with_rejection(valid, pair))
+        ii = jj = np.arange(thresholds.size)
+    t1s, t2s = thresholds[ii], thresholds[jj]
+    tp, fn, rp, fp, tn, rn = confusion_counts(valid, t1s, t2s)
+    n_pos, n_neg = valid.n_pos, valid.n_neg
+    rpr = rp / n_pos
+    rnr = rn / n_neg
+    # same operation order as essential_metrics + expected_cost, so the same floats
+    cost = priors.p_pos * (
+        costs.cfn * (fn / n_pos) + costs.ctp * (tp / n_pos) + costs.crp * rpr
+    ) + priors.p_neg * (
+        costs.ctn * (tn / n_neg) + costs.cfp * (fp / n_neg) + costs.crn * rnr
+    )
+    rej = (rp + rn) / (n_pos + n_neg)
+    # key (cost, rej, t2 - t1, t1, t2); t1 = t2 pairs reduce it to (cost, t)
+    best = int(np.lexsort((t2s, t1s, t2s - t1s, rej, cost))[0])
     return TortorellaResult(
-        thresholds=pair,
-        cost=cost,
+        thresholds=ThresholdPair(float(t1s[best]), float(t2s[best])),
+        cost=float(cost[best]),
         activated=check.activated,
         degenerate_denominator=check.degenerate_denominator,
-        rpr=m.rpr,
-        rnr=m.rnr,
+        rpr=float(rpr[best]),
+        rnr=float(rnr[best]),
     )
 
 
@@ -177,52 +184,59 @@ def ba_optimize(
     """Bounded abstention: minimize misclassification cost per classified
     example subject to overall reject rate <= k_max.
 
-    Exhaustive over ordered candidate pairs; t1 = t2 pairs reject nothing,
-    so a feasible pair always exists. Ties break by smaller reject rate,
-    then band width, then (t1, t2).
+    Exact over ordered candidate pairs (i <= j); t1 = t2 pairs reject
+    nothing, so a feasible pair always exists. Consecutive cuts differ by at
+    least one example, so a pair rejects at least ``j - i`` examples and only
+    a band of ``j - i <= k_max * total + 1`` can be feasible. The band is
+    swept in chunks of at most ``_PAIR_CELLS`` cells, so memory stays linear
+    in the number of examples whatever ``k_max``. Ties break by smaller
+    reject rate, then band width, then (t1, t2).
     """
     valid.require_both_classes()
     if not 0.0 < k_max < 1.0:
         raise ValueError(f"k_max must lie in (0,1), got {k_max}")
     cands = candidate_thresholds(valid)
-    pos = valid.pos_scores_sorted
-    neg = valid.neg_scores_sorted
-    n_pos, n_neg = pos.size, neg.size
-    total = n_pos + n_neg
-
-    pos_le = np.searchsorted(pos, cands, side="right")  # fn at t1 / tp complement at t2
-    neg_le = np.searchsorted(neg, cands, side="right")
-
-    fn = pos_le[:, None].astype(np.float64)
-    tn = neg_le[:, None].astype(np.float64)
-    tp = (n_pos - pos_le)[None, :].astype(np.float64)
-    fp = (n_neg - neg_le)[None, :].astype(np.float64)
-    classified = fn + tn + tp + fp
-    rejected = total - classified
-    rej = rejected / total
+    total = len(valid)
+    # per-cut counts: a cut used as t1 fixes (fn, tn), used as t2 fixes (tp, fp)
+    tp, fn, _, fp, tn, _ = (
+        c.astype(np.float64) for c in confusion_counts(valid, cands, cands)
+    )
+    fn_tn = fn + tn
+    cfn_fn = cfn * fn
+    cfp_fp = cfp * fp
 
     k = cands.size
-    ordered = np.triu(np.ones((k, k), dtype=bool))  # i <= j, i.e. t1 <= t2
-    feasible = ordered & (rej <= k_max) & (classified >= 1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        objective = np.where(classified >= 1, (cfn * fn + cfp * fp) / classified, np.inf)
-    objective = np.where(feasible, objective, np.inf)
-
-    best_obj = objective.min()
-    ii, jj = np.nonzero(objective == best_obj)
-    best_key: tuple | None = None
-    best_ij: tuple[int, int] | None = None
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        key = (rej[i, j], cands[j] - cands[i], cands[i], cands[j])
-        if best_key is None or key < best_key:
-            best_key, best_ij = key, (i, j)
-    assert best_ij is not None
-    i, j = best_ij
-    pair = ThresholdPair(float(cands[i]), float(cands[j]))
+    width = min(k, int(k_max * total) + 2)  # offsets j - i in [0, width)
+    n_cells = k * width
+    # running best (objective, rej, width, t1, t2); the first chunk holds the
+    # always-feasible pair (0, 0), so it sets a finite objective
+    best_key: tuple = (np.inf,)
+    for start in range(0, n_cells, _PAIR_CELLS):
+        cell = np.arange(start, min(start + _PAIR_CELLS, n_cells))
+        i, d = np.divmod(cell, width)
+        j = i + d
+        inside = j < k
+        i, j = i[inside], j[inside]
+        classified = fn_tn[i] + tp[j] + fp[j]
+        rej = (total - classified) / total
+        feasible = (rej <= k_max) & (classified >= 1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            objective = np.where(feasible, (cfn_fn[i] + cfp_fp[j]) / classified, np.inf)
+        obj = objective.min(initial=np.inf)
+        if obj > best_key[0]:
+            continue
+        tie = np.flatnonzero(objective == obj)
+        t1, t2 = cands[i[tie]], cands[j[tie]]
+        w = int(np.lexsort((t2, t1, t2 - t1, rej[tie]))[0])
+        key = (float(obj), float(rej[tie[w]]), float(t2[w] - t1[w]),
+               float(t1[w]), float(t2[w]))
+        best_key = min(best_key, key)
+    best_obj, _, _, t1_best, t2_best = best_key
+    pair = ThresholdPair(t1_best, t2_best)
     m = essential_metrics(classify_with_rejection(valid, pair))
     return BaResult(
         thresholds=pair,
-        objective=float(best_obj),
+        objective=best_obj,
         rej=m.rej,
         rpr=m.rpr,
         rnr=m.rnr,

@@ -1,8 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from rejectopt import baselines
 from rejectopt.baselines import (
     BaResult,
+    TortorellaResult,
     RocPoint,
     ba_optimize,
     candidate_thresholds,
@@ -13,7 +19,15 @@ from rejectopt.baselines import (
     tortorella_optimize,
 )
 from rejectopt.data import ScoredDataset, synth_two_gaussian
-from rejectopt.metrics import ClassPriors, CostMatrix, ThresholdPair, empirical_priors
+from rejectopt.metrics import (
+    ClassPriors,
+    CostMatrix,
+    ThresholdPair,
+    classify_with_rejection,
+    empirical_priors,
+    essential_metrics,
+    expected_cost,
+)
 
 
 def make_dataset(pairs):
@@ -57,6 +71,121 @@ def brute_force_ba(data, k_max, cfn, cfp):
     return best
 
 
+def dense_ba(valid, k_max, cfn=1.0, cfp=1.0):
+    """Dense k x k reference solver: every ordered candidate pair at once,
+    ties resolved by a Python loop over the cells at the optimum."""
+    cands = candidate_thresholds(valid)
+    pos = valid.pos_scores_sorted
+    neg = valid.neg_scores_sorted
+    n_pos, n_neg = pos.size, neg.size
+    total = n_pos + n_neg
+
+    pos_le = np.searchsorted(pos, cands, side="right")
+    neg_le = np.searchsorted(neg, cands, side="right")
+
+    fn = pos_le[:, None].astype(np.float64)
+    tn = neg_le[:, None].astype(np.float64)
+    tp = (n_pos - pos_le)[None, :].astype(np.float64)
+    fp = (n_neg - neg_le)[None, :].astype(np.float64)
+    classified = fn + tn + tp + fp
+    rejected = total - classified
+    rej = rejected / total
+
+    k = cands.size
+    ordered = np.triu(np.ones((k, k), dtype=bool))  # i <= j, i.e. t1 <= t2
+    feasible = ordered & (rej <= k_max) & (classified >= 1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        objective = np.where(classified >= 1, (cfn * fn + cfp * fp) / classified, np.inf)
+    objective = np.where(feasible, objective, np.inf)
+
+    best_obj = objective.min()
+    ii, jj = np.nonzero(objective == best_obj)
+    best_key = None
+    best_ij = None
+    for i, j in zip(ii.tolist(), jj.tolist()):
+        key = (rej[i, j], cands[j] - cands[i], cands[i], cands[j])
+        if best_key is None or key < best_key:
+            best_key, best_ij = key, (i, j)
+    i, j = best_ij
+    pair = ThresholdPair(float(cands[i]), float(cands[j]))
+    m = essential_metrics(classify_with_rejection(valid, pair))
+    return BaResult(thresholds=pair, objective=float(best_obj), rej=m.rej, rpr=m.rpr, rnr=m.rnr)
+
+
+def loop_roc_points(valid):
+    """One binary search per candidate cut, descending."""
+    pos = valid.pos_scores_sorted
+    neg = valid.neg_scores_sorted
+    points = []
+    for c in candidate_thresholds(valid)[::-1]:
+        tpr = (pos.size - int(np.searchsorted(pos, c, side="right"))) / pos.size
+        fpr = (neg.size - int(np.searchsorted(neg, c, side="right"))) / neg.size
+        points.append(RocPoint(fpr=fpr, tpr=tpr, threshold=float(c)))
+    return points
+
+
+def loop_tortorella(valid, costs, priors):
+    """Per-pair scalar evaluation over the hull thresholds, keyed tuples."""
+    hull = rocch(roc_points(valid))
+    thresholds = sorted({p.threshold for p in hull})
+    check = check_reject_activation(costs)
+    if check.activated:
+        pairs = [(t1, t2) for i, t1 in enumerate(thresholds) for t2 in thresholds[i:]]
+    else:
+        pairs = [(t, t) for t in thresholds]
+    best_key = best = None
+    for t1, t2 in pairs:
+        m = essential_metrics(classify_with_rejection(valid, ThresholdPair(t1, t2)))
+        cost = expected_cost(m, priors, costs)
+        key = (cost, m.rej, t2 - t1, t1, t2) if check.activated else (cost, t1)
+        if best_key is None or key < best_key:
+            best_key, best = key, (ThresholdPair(t1, t2), cost, m)
+    pair, cost, m = best
+    return TortorellaResult(
+        thresholds=pair,
+        cost=cost,
+        activated=check.activated,
+        degenerate_denominator=check.degenerate_denominator,
+        rpr=m.rpr,
+        rnr=m.rnr,
+    )
+
+
+def tied_dataset(levels, is_pos, positions):
+    """Scores drawn from a few unevenly spaced levels (many exact ties);
+    both classes present."""
+    labels = [1 if p else -1 for p in is_pos]
+    labels[0], labels[-1] = 1, -1
+    return ScoredDataset([positions[lv % len(positions)] for lv in levels], labels)
+
+
+tied_examples = st.integers(2, 40).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(0, 6), min_size=n, max_size=n),
+        st.lists(st.booleans(), min_size=n, max_size=n),
+        st.lists(st.integers(-40, 40).map(lambda v: v / 8), min_size=1, max_size=7),
+    )
+)
+
+_MAX = float(np.finfo(np.float64).max)
+
+
+def extreme_scores(base, steps, mode):
+    """Scores at a huge magnitude: adjacent floats, or a spread of multiples."""
+    out = []
+    for m in steps:
+        if mode == "adjacent":
+            s = base
+            for _ in range(m):
+                s = float(np.nextafter(s, 0.0))
+        elif mode == "spread":
+            s = base * (1.0 - m / 8.0)
+        else:  # both signs
+            s = base * (1.0 - m / 8.0) * (-1.0) ** m
+        out.append(s)
+    return out
+
+
 class TestRocPoints:
     def test_two_example_points(self):
         data = make_dataset([(0.9, 1), (0.1, -1)])
@@ -78,6 +207,44 @@ class TestRocPoints:
         pts = roc_points(data)
         fprs = [p.fpr for p in pts]
         assert fprs == sorted(fprs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_examples)
+    def test_matches_loop_oracle(self, example_lists):
+        data = tied_dataset(*example_lists)
+        assert roc_points(data) == loop_roc_points(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([1e17, -1e17, 1e308, -1e308, _MAX, -_MAX, 1.0]),
+        st.sampled_from(["adjacent", "spread", "signed"]),
+        st.lists(st.integers(0, 6), min_size=2, max_size=20),
+        st.randoms(use_true_random=False),
+    )
+    @example(1e17, "spread", [0, 2, 4, 6], None)  # scores 1e17 .. 2.5e16
+    def test_huge_magnitudes_reach_both_corners(self, base, mode, steps, shuffler):
+        scores = extreme_scores(base, steps, mode)
+        labels = [1 if i % 2 else -1 for i in range(len(scores))]
+        if shuffler is not None:
+            shuffler.shuffle(labels)
+        labels[0], labels[-1] = 1, -1
+        data = ScoredDataset(scores, labels)
+        s = np.unique(data.scores)
+        cands = candidate_thresholds(data)
+        assert cands.size == s.size + 1
+        assert cands[0] < s[0] and cands[-1] >= s[-1]
+        assert np.all((s[:-1] <= cands[1:-1]) & (cands[1:-1] < s[1:]))
+        pts = roc_points(data)
+        assert len(pts) == s.size + 1
+        assert (pts[0].fpr, pts[0].tpr) == (0.0, 0.0)
+        assert (pts[-1].fpr, pts[-1].tpr) == (1.0, 1.0)
+        assert pts == loop_roc_points(data)
+
+    def test_ordinary_cuts_unchanged(self):
+        data = synth_two_gaussian(30, 30, 0.5, -0.5, 1.0, seed=4)
+        s = np.unique(data.scores)
+        expected = np.concatenate(([s[0] - 1.0], (s[:-1] + s[1:]) / 2.0, [s[-1] + 1.0]))
+        assert candidate_thresholds(data).tobytes() == expected.tobytes()
 
 
 class TestRocch:
@@ -208,6 +375,18 @@ class TestTortorella:
                     cost, _ = _cost_and_rej(data, t1, t2, costs, priors)
                     assert res.cost <= cost + 1e-12
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tied_examples,
+        st.lists(st.integers(-5, 60), min_size=6, max_size=6),
+    )
+    def test_matches_loop_oracle(self, example_lists, entries):
+        # integer costs make exact cost ties, so the tie-break order is checked
+        data = tied_dataset(*example_lists)
+        costs = CostMatrix(*map(float, entries))
+        priors = empirical_priors(data)
+        assert tortorella_optimize(data, costs, priors) == loop_tortorella(data, costs, priors)
+
 
 class TestBaOptimize:
     def test_tight_cap_degenerates_to_single_threshold(self):
@@ -245,6 +424,45 @@ class TestBaOptimize:
         data = synth_two_gaussian(5, 5, 0.5, -0.5, 1.0, seed=1)
         with pytest.raises(ValueError, match="k_max"):
             ba_optimize(data, 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tied_examples,
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(0.01, 10.0),
+        st.floats(0.01, 10.0),
+        st.integers(1, 16),
+    )
+    @example(  # equal objective: the smaller reject rate wins over the narrower band
+        (
+            [2, 2, 2, 1, 0, 0, 2, 0, 2, 2, 1, 0, 0, 0],
+            [True, True, False, False, True, True, True,
+             False, True, True, True, True, False, False],
+            [-4.0, -1.125, 4.375],
+        ),
+        0.5,
+        2.0,
+        3.0,
+        1 << 18,  # one chunk: the tie is settled inside it, not across chunks
+    )
+    def test_matches_dense_oracle(self, example_lists, k_max, cfn, cfp, cells):
+        data = tied_dataset(*example_lists)
+        with pytest.MonkeyPatch.context() as mp:
+            # tiny chunks: the sweep crosses many chunk boundaries
+            mp.setattr(baselines, "_PAIR_CELLS", cells)
+            res = ba_optimize(data, k_max, cfn, cfp)
+        assert res == dense_ba(data, k_max, cfn, cfp)
+
+    @pytest.mark.parametrize("k_max", [0.05, 0.25])
+    def test_memory_stays_bounded(self, k_max):
+        data = synth_two_gaussian(2500, 2500, 1, -1, 1, seed=16)
+        tracemalloc.start()
+        try:
+            ba_optimize(data, k_max)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20  # the dense k x k search peaks near 1 GB here
 
 
 def _reject_counts(data, t):
