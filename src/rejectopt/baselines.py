@@ -29,6 +29,12 @@ from .metrics import (
 _PAIR_CELLS = 1 << 14  # cells per ba_optimize chunk; small chunks stay in cache
 
 
+def _width(t1s: np.ndarray, t2s: np.ndarray) -> np.ndarray:
+    """Tie key t2 - t1, exactly 0 where t1 == t2 (an infinite sentinel cut
+    used as both thresholds would otherwise give inf - inf = nan)."""
+    return np.subtract(t2s, t1s, out=np.zeros(np.shape(t1s)), where=t1s != t2s)
+
+
 @dataclass(frozen=True)
 class RocPoint:
     """One operating point: among-all rates at a single score cut."""
@@ -167,7 +173,7 @@ def tortorella_optimize(
     )
     rej = (rp + rn) / (n_pos + n_neg)
     # key (cost, rej, t2 - t1, t1, t2); t1 = t2 pairs reduce it to (cost, t)
-    best = int(np.lexsort((t2s, t1s, t2s - t1s, rej, cost))[0])
+    best = int(np.lexsort((t2s, t1s, _width(t1s, t2s), rej, cost))[0])
     return TortorellaResult(
         thresholds=ThresholdPair(float(t1s[best]), float(t2s[best])),
         cost=float(cost[best]),
@@ -227,9 +233,9 @@ def ba_optimize(
             continue
         tie = np.flatnonzero(objective == obj)
         t1, t2 = cands[i[tie]], cands[j[tie]]
-        w = int(np.lexsort((t2, t1, t2 - t1, rej[tie]))[0])
-        key = (float(obj), float(rej[tie[w]]), float(t2[w] - t1[w]),
-               float(t1[w]), float(t2[w]))
+        width_tie = _width(t1, t2)
+        w = int(np.lexsort((t2, t1, width_tie, rej[tie]))[0])
+        key = (float(obj), float(rej[tie[w]]), float(width_tie[w]), float(t1[w]), float(t2[w]))
         best_key = min(best_key, key)
     best_obj, _, _, t1_best, t2_best = best_key
     pair = ThresholdPair(t1_best, t2_best)

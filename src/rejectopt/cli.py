@@ -5,6 +5,11 @@ output, and every command is deterministic for a fixed --seed (byte
 identical output files). Exit codes: 0 success (including a not-activated
 baseline), 1 usage error, 2 data error, 3 no feasible/eligible solution.
 
+optimize and baseline write one record per threshold pair, with the
+confusion counts behind its rates; select rebuilds every metric exactly
+from those counts. Its priors come from --p-pos, or else from the counts'
+class totals.
+
 compare-costs and curves mirror the experiment protocol: the scores file
 is stratified-split 60/20/20 with --seed, the train part is discarded
 (scores are already given), thresholds are tuned on the validation part
@@ -19,6 +24,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields, replace
 
 from .baselines import ba_optimize, tortorella_optimize
 from .charts import line_chart_svg
@@ -38,13 +44,13 @@ from .metrics import (
     ClassPriors,
     CostMatrix,
     EssentialMetrics,
+    RejectionConfusion,
     ThresholdPair,
-    classify_with_rejection,
     empirical_priors,
     essential_metrics,
     expected_cost,
 )
-from .moba import MobaConfig, NoFeasibleSolutionError, evolve, pareto_document
+from .moba import MobaConfig, NoFeasibleSolutionError, evolve, pareto_document, solution_record
 
 
 class UsageError(Exception):
@@ -106,17 +112,8 @@ def _cost_matrix(args) -> CostMatrix:
         raise UsageError(str(e)) from None
 
 
-def _solution_record(data: ScoredDataset, t: ThresholdPair, feasible: bool = True) -> dict:
-    m = essential_metrics(classify_with_rejection(data, t))
-    return {
-        "t1": t.t1,
-        "t2": t.t2,
-        "fpr": m.fpr_cls,
-        "fnr": m.fnr_cls,
-        "rpr": m.rpr,
-        "rnr": m.rnr,
-        "feasible": feasible,
-    }
+def _rate(value: float | None) -> float:
+    return math.nan if value is None else value
 
 
 def _pareto_table(doc: dict) -> str:
@@ -124,7 +121,7 @@ def _pareto_table(doc: dict) -> str:
     lines = [header, "-" * len(header)]
     for s in doc["solutions"]:
         lines.append(
-            f"{s['t1']:>12.6f} {s['t2']:>12.6f} {s['fpr']:>8.4f} {s['fnr']:>8.4f} "
+            f"{s['t1']:>12.6f} {s['t2']:>12.6f} {_rate(s['fpr']):>8.4f} {_rate(s['fnr']):>8.4f} "
             f"{s['rpr']:>8.4f} {s['rnr']:>8.4f}"
         )
     return "\n".join(lines) + "\n"
@@ -164,7 +161,7 @@ def cmd_baseline(args) -> int:
                 "n_pos": data.n_pos,
                 "n_neg": data.n_neg,
             },
-            "solutions": [_solution_record(data, res.thresholds)],
+            "solutions": [solution_record(data, res.thresholds)],
         }
         status = "activated" if res.activated else "not activated (t1 = t2)"
         summary = (
@@ -188,7 +185,7 @@ def cmd_baseline(args) -> int:
                 "n_pos": data.n_pos,
                 "n_neg": data.n_neg,
             },
-            "solutions": [_solution_record(data, res.thresholds)],
+            "solutions": [solution_record(data, res.thresholds)],
         }
         summary = (
             f"ba: thresholds ({res.thresholds.t1:.6f}, {res.thresholds.t2:.6f}); "
@@ -255,70 +252,63 @@ def cmd_curves(args) -> int:
     return 0
 
 
-def _metrics_from_record(rec: dict, priors: ClassPriors) -> EssentialMetrics:
-    """Rebuild both rate families from an exported solution record.
+_COUNT_KEYS = tuple(f.name for f in fields(RejectionConfusion))
 
-    A null fpr (fnr) marks a fully rejected negative (positive) class: its
-    among-classified rates stay None and its classified among-all rates are 0.
-    """
-    fpr_cls, fnr_cls = rec["fpr"], rec["fnr"]
-    rpr, rnr = rec["rpr"], rec["rnr"]
-    if fnr_cls is None:
-        tpr_cls, tpr_all, fnr_all = None, 0.0, 0.0
-    else:
-        tpr_cls = 1.0 - fnr_cls
-        tpr_all, fnr_all = tpr_cls * (1.0 - rpr), fnr_cls * (1.0 - rpr)
-    if fpr_cls is None:
-        tnr_cls, tnr_all, fpr_all = None, 0.0, 0.0
-    else:
-        tnr_cls = 1.0 - fpr_cls
-        tnr_all, fpr_all = tnr_cls * (1.0 - rnr), fpr_cls * (1.0 - rnr)
-    classified = priors.p_pos * (1.0 - rpr) + priors.p_neg * (1.0 - rnr)
-    acc = (priors.p_pos * tpr_all + priors.p_neg * tnr_all) / classified if classified > 0 else None
-    both = tpr_cls is not None and tnr_cls is not None
-    return EssentialMetrics(
-        tpr_all=tpr_all,
-        fnr_all=fnr_all,
-        rpr=rpr,
-        tnr_all=tnr_all,
-        fpr_all=fpr_all,
-        rnr=rnr,
-        tpr_cls=tpr_cls,
-        fnr_cls=fnr_cls,
-        tnr_cls=tnr_cls,
-        fpr_cls=fpr_cls,
-        rej=priors.p_pos * rpr + priors.p_neg * rnr,
-        acc=acc,
-        auc=(tpr_cls + tnr_cls) / 2.0 if both else None,
-        gmean=math.sqrt(max(tpr_cls * tnr_cls, 0.0)) if both else None,
-    )
+
+def _read_record(rec, where: str) -> tuple[ThresholdPair, RejectionConfusion]:
+    """Thresholds and confusion counts of one exported solution record."""
+    counts = rec.get("counts") if isinstance(rec, dict) else None
+    if not isinstance(counts, dict) or set(counts) != set(_COUNT_KEYS):
+        raise ScoresCsvError(f"{where}: needs counts {{{', '.join(_COUNT_KEYS)}}}")
+    for key, n in counts.items():
+        if type(n) is not int or n < 0:  # also rejects bools, floats and strings
+            raise ScoresCsvError(f"{where}: count {key} must be a non-negative integer, got {n!r}")
+    try:
+        t = ThresholdPair(rec["t1"], rec["t2"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise ScoresCsvError(f"{where}: bad thresholds: {e!r}") from None
+    return t, RejectionConfusion(**counts)
+
+
+def _prior_weighted(m: EssentialMetrics, priors: ClassPriors) -> EssentialMetrics:
+    """``m`` with acc and rej weighing the two classes by ``priors``."""
+    p, q = priors.p_pos, priors.p_neg
+    classified = p * (1.0 - m.rpr) + q * (1.0 - m.rnr)
+    acc = (p * m.tpr_all + q * m.tnr_all) / classified if classified > 0 else None
+    return replace(m, acc=acc, rej=p * m.rpr + q * m.rnr)
 
 
 def cmd_select(args) -> int:
+    if args.p_pos is not None and not 0.0 < args.p_pos < 1.0:
+        raise UsageError("--p-pos must lie in (0,1)")
     try:
         with open(args.pareto, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         records = doc["solutions"]
         meta = doc.get("metadata", {})
-    except (json.JSONDecodeError, KeyError) as e:
+        if not isinstance(records, list) or not isinstance(meta, dict):
+            raise TypeError("solutions must be a list and metadata an object")
+    except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as e:
         raise ScoresCsvError(f"invalid Pareto JSON {args.pareto}: {e}") from None
     if not records:
         raise NoEligibleSolutionError("Pareto file contains no solutions")
 
-    if args.p_pos is not None:
-        if not 0.0 < args.p_pos < 1.0:
-            raise UsageError("--p-pos must lie in (0,1)")
-        priors = ClassPriors(args.p_pos, 1.0 - args.p_pos)
-    elif "n_pos" in meta and "n_neg" in meta:
-        total = meta["n_pos"] + meta["n_neg"]
-        priors = ClassPriors(meta["n_pos"] / total, meta["n_neg"] / total)
+    read = [_read_record(rec, f"{args.pareto}: solution {k}") for k, rec in enumerate(records)]
+    n_pos = meta.get("n_pos", read[0][1].n_pos)
+    n_neg = meta.get("n_neg", read[0][1].n_neg)
+    for k, (_, c) in enumerate(read):
+        if (c.n_pos, c.n_neg) != (n_pos, n_neg):
+            raise ScoresCsvError(
+                f"{args.pareto}: solution {k}: counts cover {c.n_pos} positives and "
+                f"{c.n_neg} negatives, expected {n_pos} and {n_neg}"
+            )
+    solutions = [SolutionEval(t, essential_metrics(c)) for t, c in read]
+    if args.p_pos is None:
+        priors = ClassPriors(n_pos / (n_pos + n_neg), n_neg / (n_pos + n_neg))
     else:
-        raise UsageError("priors unavailable: pass --p-pos or use a file with n_pos/n_neg metadata")
+        priors = ClassPriors(args.p_pos, 1.0 - args.p_pos)
+        solutions = [replace(s, metrics=_prior_weighted(s.metrics, priors)) for s in solutions]
 
-    solutions = [
-        SolutionEval(ThresholdPair(rec["t1"], rec["t2"]), _metrics_from_record(rec, priors))
-        for rec in records
-    ]
     if args.mode == "min-cost":
         costs = _cost_matrix(args)
         best = select_min_cost(solutions, costs, priors)
@@ -356,20 +346,10 @@ def cmd_select(args) -> int:
         }
 
     m = best.metrics
+    chosen = records[next(k for k, s in enumerate(solutions) if s is best)]
     out_doc = {
         "selection": rationale,
-        "solution": {
-            "t1": best.thresholds.t1,
-            "t2": best.thresholds.t2,
-            "fpr": m.fpr_cls,
-            "fnr": m.fnr_cls,
-            "rpr": m.rpr,
-            "rnr": m.rnr,
-            "acc": m.acc,
-            "auc": m.auc,
-            "gmean": m.gmean,
-            "rej": m.rej,
-        },
+        "solution": {**chosen, "acc": m.acc, "auc": m.auc, "gmean": m.gmean, "rej": m.rej},
     }
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "selection.json"), out_doc)
@@ -442,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-cap", type=float, default=None, dest="p_cap")
     p.add_argument("--n-cap", type=float, default=None, dest="n_cap")
     p.add_argument("--p-pos", type=float, default=None, dest="p_pos",
-                   help="positive-class prior (default: from file metadata)")
+                   help="positive-class prior for expected cost, acc and rej "
+                        "(default: from the records' class counts)")
     p.add_argument("--ctp", type=float, default=None)
     p.add_argument("--ctn", type=float, default=None)
     p.add_argument("--cfp", type=float, default=None)

@@ -24,7 +24,7 @@ reorders it front by front before the first tournament.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -509,23 +509,30 @@ def hypervolume_2d(
     return hv
 
 
+def solution_record(data: ScoredDataset, t: ThresholdPair, feasible: bool = True) -> dict:
+    """JSON-ready record of one threshold pair on ``data``: its rates and the
+    confusion counts behind them. A fully rejected class has a null among-
+    classified error rate (``None``), not the optimizer's death penalty."""
+    c = classify_with_rejection(data, t)
+    m = essential_metrics(c)
+    return {
+        "t1": t.t1,
+        "t2": t.t2,
+        "fpr": m.fpr_cls,
+        "fnr": m.fnr_cls,
+        "rpr": m.rpr,
+        "rnr": m.rnr,
+        "feasible": feasible,
+        "counts": asdict(c),
+    }
+
+
 def pareto_document(result: EvolveResult, valid: ScoredDataset) -> dict:
     """JSON-ready export of a run: solution records plus run metadata."""
-    solutions = []
-    for ind in sorted(result.pareto, key=lambda i: i.thresholds.as_tuple()):
-        c = classify_with_rejection(valid, ind.thresholds)
-        m = essential_metrics(c)
-        solutions.append(
-            {
-                "t1": ind.thresholds.t1,
-                "t2": ind.thresholds.t2,
-                "fpr": ind.objectives[0],
-                "fnr": ind.objectives[1],
-                "rpr": m.rpr,
-                "rnr": m.rnr,
-                "feasible": ind.feasible,
-            }
-        )
+    solutions = [
+        solution_record(valid, ind.thresholds, ind.feasible)
+        for ind in sorted(result.pareto, key=lambda i: i.thresholds.as_tuple())
+    ]
     cfg = result.config
     return {
         "metadata": {

@@ -388,6 +388,18 @@ class TestTortorella:
         assert tortorella_optimize(data, costs, priors) == loop_tortorella(data, costs, priors)
 
 
+@pytest.mark.filterwarnings("error")
+def test_max_float_sentinel_pair_ties_by_threshold():
+    # the below-min cut of -max float is -inf; the pair (-inf, -inf) has width
+    # 0 (not inf - inf = nan), so among equal costs the smaller t wins: calling
+    # everything positive (t = -inf) and everything negative (t = 6) tie here
+    data = ScoredDataset([-_MAX, -_MAX, 5.0, 1.0], [1, 1, -1, -1])
+    tort = tortorella_optimize(data, CostMatrix(0, 0, 1, 1, 0, 0), empirical_priors(data))
+    assert tort.thresholds == ThresholdPair(-np.inf, -np.inf) and not tort.activated
+    for k_max in (0.3, 0.6):
+        assert ba_optimize(data, k_max).thresholds == ThresholdPair(-np.inf, -np.inf)
+
+
 class TestBaOptimize:
     def test_tight_cap_degenerates_to_single_threshold(self):
         data = make_dataset([(0.9, 1), (0.7, 1), (0.4, -1), (0.2, -1)])

@@ -2,16 +2,22 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rejectopt.cli import main
-from rejectopt.data import synth_two_gaussian, write_scored_csv
+from rejectopt.cli import _read_record, main
+from rejectopt.data import ScoredDataset, load_scored_csv, synth_two_gaussian, write_scored_csv
 from rejectopt.harness import SolutionEval
 from rejectopt.metrics import (
     ClassPriors,
     CostMatrix,
+    RejectionConfusion,
     ThresholdPair,
+    classify_with_rejection,
+    essential_metrics,
     expected_cost,
 )
+from rejectopt.moba import solution_record
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +89,28 @@ class TestOptimize:
             "--out", str(tmp_path / "x"), "--popsize", "4", "--gensize", "2",
         )
         assert code == 3
+
+    def test_fully_rejected_class_exports_null(self, tmp_path):
+        # caps of 1 admit pairs that reject every positive: fnr is undefined
+        path = tmp_path / "small.csv"
+        write_scored_csv(synth_two_gaussian(15, 15, 0.3, -0.3, 1.0, seed=20), path)
+        out = tmp_path / "opt"
+        assert run(
+            "optimize", "--scores", str(path), "--pmax", "1", "--nmax", "1", "--seed", "20",
+            "--popsize", "12", "--gensize", "30", "--out", str(out),
+        ) == 0
+        sols = json.loads((out / "pareto.json").read_text())["solutions"]
+        rows = (out / "pareto.txt").read_text().splitlines()[2:]
+        assert len(rows) == len(sols)
+        undefined = [k for k, rec in enumerate(sols) if rec["rpr"] == 1.0]
+        assert len(undefined) == 3
+        for k, rec in enumerate(sols):
+            assert (rec["fnr"] is None) == (k in undefined)
+            assert (rows[k].split()[3] == "nan") == (k in undefined)
+        assert run(
+            "select", "--pareto", str(out / "pareto.json"), "--mode", "best-metric",
+            "--metric", "g", "--out", str(tmp_path / "sel"),
+        ) == 0
 
     def test_missing_file_is_data_error(self, tmp_path):
         code = run(
@@ -157,6 +185,22 @@ class TestBaseline:
             ) == 0
         assert (a / "baseline.json").read_bytes() == (b / "baseline.json").read_bytes()
 
+    @pytest.mark.filterwarnings("error")
+    def test_max_float_sentinel_cut_round_trips_through_select(self, tmp_path):
+        path = tmp_path / "extreme.csv"
+        scores = [-1.7976931348623157e308] * 2 + [5.0, 1.0]  # below-min cut is -inf
+        write_scored_csv(ScoredDataset(scores, [1, 1, -1, -1]), path)
+        costs = ["--ctp", "0", "--ctn", "0", "--cfp", "1", "--cfn", "1", "--crp", "0", "--crn", "0"]
+        out = tmp_path / "tort"
+        assert run("baseline", "--scores", str(path), "--model", "tortorella", *costs,
+                   "--out", str(out)) == 0
+        text = (out / "baseline.json").read_text()
+        assert '"t1": -Infinity' in text and '"t2": -Infinity' in text
+        assert run("select", "--pareto", str(out / "baseline.json"), "--mode", "min-cost",
+                   *costs, "--out", str(tmp_path / "sel")) == 0
+        chosen = json.loads((tmp_path / "sel" / "selection.json").read_text())["solution"]
+        assert chosen["t1"] == chosen["t2"] == -np.inf
+
 
 class TestCompareCosts:
     def test_counts_sum_to_trials(self, scores_csv, tmp_path):
@@ -215,6 +259,35 @@ class TestCurves:
         assert "0.21,moba,nan,nan,nan,nan" in (out / "curves.csv").read_text().splitlines()
 
 
+def fully_rejected_doc():
+    """Two hand-written records; the first rejects every negative."""
+    return {
+        "metadata": {"n_pos": 4, "n_neg": 6},
+        "solutions": [
+            {"t1": 0.0, "t2": 1.0, "fpr": None, "fnr": 0.25,
+             "rpr": 0.0, "rnr": 1.0, "feasible": True,
+             "counts": {"tp": 3, "fn": 1, "rp": 0, "fp": 0, "tn": 0, "rn": 6}},
+            {"t1": 0.2, "t2": 0.4, "fpr": 0.5, "fnr": 0.25,
+             "rpr": 0.0, "rnr": 0.0, "feasible": True,
+             "counts": {"tp": 3, "fn": 1, "rp": 0, "fp": 3, "tn": 3, "rn": 0}},
+        ],
+    }
+
+
+_DELETE = object()
+
+
+def _edit(doc, path, value):
+    """Set the entry at ``path`` of ``doc`` to ``value`` (remove it for ``_DELETE``)."""
+    *keys, last = path
+    for key in keys:
+        doc = doc[key]
+    if value is _DELETE:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
 class TestSelect:
     @pytest.fixture()
     def pareto_json(self, scores_csv, tmp_path):
@@ -241,10 +314,8 @@ class TestSelect:
             meta["n_neg"] / (meta["n_pos"] + meta["n_neg"]),
         )
         costs = CostMatrix(-2, -2, 30, 40, 2, 2)
-        from rejectopt.cli import _metrics_from_record
-
         all_costs = [
-            expected_cost(_metrics_from_record(rec, priors), priors, costs)
+            expected_cost(essential_metrics(RejectionConfusion(**rec["counts"])), priors, costs)
             for rec in doc["solutions"]
         ]
         assert chosen["selection"]["expected_cost"] == pytest.approx(min(all_costs))
@@ -285,15 +356,7 @@ class TestSelect:
 
     def test_fully_rejected_class_record(self, tmp_path):
         # baseline writes fpr = null when every negative is rejected
-        doc = {
-            "metadata": {"n_pos": 4, "n_neg": 6},
-            "solutions": [
-                {"t1": 0.0, "t2": 1.0, "fpr": None, "fnr": 0.25,
-                 "rpr": 0.0, "rnr": 1.0, "feasible": True},
-                {"t1": 0.2, "t2": 0.4, "fpr": 0.5, "fnr": 0.25,
-                 "rpr": 0.0, "rnr": 0.0, "feasible": True},
-            ],
-        }
+        doc = fully_rejected_doc()
         path = tmp_path / "pareto.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "cost"
@@ -319,6 +382,92 @@ class TestSelect:
         chosen = json.loads((out / "selection.json").read_text())
         assert chosen["solution"]["t1"] == 0.2  # an undefined AUC never wins
         assert chosen["selection"]["value"] == pytest.approx(0.625)
+
+    @pytest.mark.parametrize(
+        "path, value, where",
+        [
+            pytest.param(("solutions", 1, "counts"), _DELETE, "solution 1", id="no-counts"),
+            pytest.param(("solutions", 1, "counts", "tn"), _DELETE, "solution 1", id="no-tn"),
+            pytest.param(("solutions", 1, "counts", "tp"), -1, "solution 1", id="negative"),
+            pytest.param(("solutions", 1, "counts", "fn"), 1.5, "solution 1", id="fraction"),
+            pytest.param(("solutions", 1, "counts", "fn"), 1.0, "solution 1", id="float"),
+            pytest.param(("solutions", 1, "counts", "rp"), False, "solution 1", id="bool"),
+            pytest.param(("solutions", 1, "counts", "fp"), "3", "solution 1", id="string"),
+            pytest.param(("solutions", 1, "counts", "tn"), None, "solution 1", id="null"),
+            pytest.param(("solutions", 1, "counts", "tp"), 4, "solution 1", id="totals-differ"),
+            pytest.param(("metadata", "n_neg"), 7, "solution 0", id="metadata-differs"),
+        ],
+    )
+    def test_invalid_counts_are_data_errors(self, path, value, where, tmp_path, capsys):
+        doc = fully_rejected_doc()
+        _edit(doc, path, value)
+        path = tmp_path / "pareto.json"
+        path.write_text(json.dumps(doc))
+        code = run(
+            "select", "--pareto", str(path), "--mode", "best-metric", "--metric", "acc",
+            "--out", str(tmp_path / "sel"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert where in err and "Traceback" not in err
+        assert not (tmp_path / "sel").exists()
+
+    def test_p_pos_weights_acc_rej_and_cost(self, pareto_json, scores_csv, tmp_path):
+        p, q = 0.3, 0.7
+        costs = {"ctp": -2.0, "ctn": -1.0, "cfp": 30.0, "cfn": 40.0, "crp": 2.0, "crn": 3.0}
+        data = load_scored_csv(scores_csv)
+        pos, neg = data.scores[data.labels == 1], data.scores[data.labels == -1]
+
+        def recount(t1, t2):
+            """Prior-weighted acc, rej and expected cost, counted from the scores."""
+            tp, fn = np.sum(pos > t2), np.sum(pos <= t1)
+            fp, tn = np.sum(neg > t2), np.sum(neg <= t1)
+            rp, rn = pos.size - tp - fn, neg.size - fp - tn
+            rpr, rnr = rp / pos.size, rn / neg.size
+            acc = (p * tp / pos.size + q * tn / neg.size) / (p * (1 - rpr) + q * (1 - rnr))
+            cost = p * (costs["ctp"] * tp + costs["cfn"] * fn + costs["crp"] * rp) / pos.size
+            cost += q * (costs["ctn"] * tn + costs["cfp"] * fp + costs["crn"] * rn) / neg.size
+            return acc, p * rpr + q * rnr, cost
+
+        front = [recount(r["t1"], r["t2"]) for r in json.loads(open(pareto_json).read())["solutions"]]
+        flags = [x for key, value in costs.items() for x in (f"--{key}", str(value))]
+        out = tmp_path / "cost"
+        assert run("select", "--pareto", pareto_json, "--mode", "min-cost", "--p-pos", "0.3",
+                   *flags, "--out", str(out)) == 0
+        chosen = json.loads((out / "selection.json").read_text())
+        acc, rej, cost = recount(chosen["solution"]["t1"], chosen["solution"]["t2"])
+        assert chosen["selection"]["p_pos"] == 0.3
+        assert chosen["selection"]["expected_cost"] == pytest.approx(cost, rel=1e-12)
+        assert cost == pytest.approx(min(c for _, _, c in front), rel=1e-12)
+        assert chosen["solution"]["acc"] == pytest.approx(acc, rel=1e-12)
+        assert chosen["solution"]["rej"] == pytest.approx(rej, rel=1e-12)
+
+        out = tmp_path / "acc"
+        assert run("select", "--pareto", pareto_json, "--mode", "best-metric", "--metric", "acc",
+                   "--p-pos", "0.3", "--out", str(out)) == 0
+        chosen = json.loads((out / "selection.json").read_text())
+        acc, rej, _ = recount(chosen["solution"]["t1"], chosen["solution"]["t2"])
+        assert chosen["selection"]["value"] == pytest.approx(acc, rel=1e-12)
+        assert acc == pytest.approx(max(a for a, _, _ in front), rel=1e-12)
+        assert chosen["solution"]["rej"] == pytest.approx(rej, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 5), st.booleans()), min_size=2, max_size=30),
+        st.tuples(st.integers(-2, 12), st.integers(-2, 12)),
+    )
+    def test_counts_rebuild_metrics_exactly(self, examples, cuts):
+        # tied scores on levels k/3; cuts k/6 fall on and between the levels
+        labels = [1 if is_pos else -1 for _, is_pos in examples]
+        labels[0], labels[-1] = 1, -1
+        data = ScoredDataset([level / 3 for level, _ in examples], labels)
+        t = ThresholdPair(*sorted(c / 6 for c in cuts))
+        rec = json.loads(json.dumps(solution_record(data, t)))
+        thresholds, counts = _read_record(rec, "solution 0")
+        expected = essential_metrics(classify_with_rejection(data, t))
+        assert thresholds == t
+        assert essential_metrics(counts) == expected
+        assert (rec["fpr"], rec["fnr"]) == (expected.fpr_cls, expected.fnr_cls)
 
     def test_requires_metric_in_best_metric_mode(self, pareto_json, tmp_path):
         code = run(

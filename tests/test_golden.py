@@ -17,8 +17,10 @@ from rejectopt.cli import main as cli_main
 from rejectopt.data import synth_two_gaussian, write_scored_csv
 
 GOLDEN = Path(__file__).parent / "golden"
+PARETO = str(GOLDEN / "pareto.json")
 
-# fixture file -> (command argv without --scores/--out, output file name)
+# fixture file -> (command argv without --scores/--out, output file name);
+# the select cases read the committed pareto.json fixture
 CASES = {
     "pareto.json": (
         ["optimize", "--pmax", "0.1", "--nmax", "0.1", "--seed", "42",
@@ -34,6 +36,16 @@ CASES = {
         ["curves", "--seed", "5", "--popsize", "20", "--gensize", "40"],
         "curves.csv",
     ),
+    "selection_min_cost.json": (
+        ["select", "--pareto", PARETO, "--mode", "min-cost", "--ctp", "-2", "--ctn", "-2",
+         "--cfp", "30", "--cfn", "40", "--crp", "2", "--crn", "2"],
+        "selection.json",
+    ),
+    "selection_best_auc.json": (
+        ["select", "--pareto", PARETO, "--mode", "best-metric", "--metric", "auc",
+         "--p-cap", "0.1", "--n-cap", "0.1"],
+        "selection.json",
+    ),
 }
 
 
@@ -43,7 +55,8 @@ def produce(name: str, workdir: Path) -> bytes:
         write_scored_csv(synth_two_gaussian(120, 180, 0.9, -0.9, 1.1, seed=512), scores)
     argv, filename = CASES[name]
     out = workdir / name.replace(".", "_")
-    assert cli_main(argv + ["--scores", str(scores), "--out", str(out)]) == 0
+    inputs = [] if argv[0] == "select" else ["--scores", str(scores)]
+    assert cli_main(argv + inputs + ["--out", str(out)]) == 0
     return (out / filename).read_bytes()
 
 

@@ -163,7 +163,7 @@ class TestEvolve:
         assert doc["metadata"]["popsize"] == 8
         assert doc["metadata"]["n_pos"] == valid.n_pos
         for rec in doc["solutions"]:
-            assert set(rec) == {"t1", "t2", "fpr", "fnr", "rpr", "rnr", "feasible"}
+            assert set(rec) == {"t1", "t2", "fpr", "fnr", "rpr", "rnr", "feasible", "counts"}
             assert rec["feasible"] is True
             assert rec["rpr"] <= 0.1 and rec["rnr"] <= 0.1
 
