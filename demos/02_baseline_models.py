@@ -24,7 +24,7 @@ print("hull (fpr, tpr):", ", ".join(f"({p.fpr:.2f},{p.tpr:.2f})" for p in hull))
 # A cost matrix where mistakes are expensive relative to rejection: the
 # activation inequality holds, so abstention can lower the expected cost.
 costs = ro.CostMatrix(ctp=-2.0, ctn=-2.0, cfp=20.0, cfn=20.0, crp=4.0, crn=4.0)
-print(f"\nreject option activated: {ro.reject_activation(costs)}")
+print(f"\nreject option activated: {ro.check_reject_activation(costs).activated}")
 
 tort = ro.tortorella_optimize(valid, costs, priors)
 print(f"hull baseline: thresholds ({tort.thresholds.t1:.4f}, {tort.thresholds.t2:.4f}), "

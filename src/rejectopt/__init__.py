@@ -17,7 +17,6 @@ from .baselines import (
     ba_optimize,
     candidate_thresholds,
     check_reject_activation,
-    reject_activation,
     roc_points,
     rocch,
     tortorella_optimize,
@@ -26,7 +25,6 @@ from .data import (
     NEGATIVE,
     POSITIVE,
     ScoredDataset,
-    ScoredExample,
     ScoresCsvError,
     SplitSpec,
     load_scored_csv,
@@ -57,7 +55,6 @@ from .metrics import (
     EssentialMetrics,
     RejectionConfusion,
     ThresholdPair,
-    ba_objective,
     classify_with_rejection,
     empirical_priors,
     essential_metrics,
@@ -71,7 +68,6 @@ from .moba import (
     NoFeasibleSolutionError,
     crowding_distance_assignment,
     elite_preservation,
-    evaluate,
     evolve,
     fast_nondominated_sort,
     hypervolume_2d,

@@ -136,10 +136,6 @@ def check_reject_activation(costs: CostMatrix) -> ActivationCheck:
     return ActivationCheck(activated=lhs > rhs, degenerate_denominator=False)
 
 
-def reject_activation(costs: CostMatrix) -> bool:
-    return check_reject_activation(costs).activated
-
-
 def tortorella_optimize(
     valid: ScoredDataset, costs: CostMatrix, priors: ClassPriors
 ) -> TortorellaResult:

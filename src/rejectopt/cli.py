@@ -8,7 +8,9 @@ baseline), 1 usage error, 2 data error, 3 no feasible/eligible solution.
 optimize and baseline write one record per threshold pair, with the
 confusion counts behind its rates; select rebuilds every metric exactly
 from those counts. Its priors come from --p-pos, or else from the counts'
-class totals.
+class totals. A pair that rejects a whole class has an undefined (null)
+error rate for it; optimize never exports one, as the search counts such
+a pair infeasible, but a baseline record can hold one.
 
 compare-costs and curves mirror the experiment protocol: the scores file
 is stratified-split 60/20/20 with --seed, the train part is discarded
@@ -24,7 +26,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 from .baselines import ba_optimize, tortorella_optimize
 from .charts import line_chart_svg
@@ -112,16 +114,12 @@ def _cost_matrix(args) -> CostMatrix:
         raise UsageError(str(e)) from None
 
 
-def _rate(value: float | None) -> float:
-    return math.nan if value is None else value
-
-
 def _pareto_table(doc: dict) -> str:
     header = f"{'t1':>12} {'t2':>12} {'fpr':>8} {'fnr':>8} {'rpr':>8} {'rnr':>8}"
     lines = [header, "-" * len(header)]
     for s in doc["solutions"]:
         lines.append(
-            f"{s['t1']:>12.6f} {s['t2']:>12.6f} {_rate(s['fpr']):>8.4f} {_rate(s['fnr']):>8.4f} "
+            f"{s['t1']:>12.6f} {s['t2']:>12.6f} {s['fpr']:>8.4f} {s['fnr']:>8.4f} "
             f"{s['rpr']:>8.4f} {s['rnr']:>8.4f}"
         )
     return "\n".join(lines) + "\n"
@@ -149,12 +147,7 @@ def cmd_baseline(args) -> int:
         doc = {
             "metadata": {
                 "model": "tortorella",
-                "ctp": costs.ctp,
-                "ctn": costs.ctn,
-                "cfp": costs.cfp,
-                "cfn": costs.cfn,
-                "crp": costs.crp,
-                "crn": costs.crn,
+                **asdict(costs),
                 "activated": res.activated,
                 "degenerate_denominator": res.degenerate_denominator,
                 "cost": res.cost,
@@ -314,14 +307,7 @@ def cmd_select(args) -> int:
         best = select_min_cost(solutions, costs, priors)
         rationale = {
             "mode": "min-cost",
-            "costs": {
-                "ctp": costs.ctp,
-                "ctn": costs.ctn,
-                "cfp": costs.cfp,
-                "cfn": costs.cfn,
-                "crp": costs.crp,
-                "crn": costs.crn,
-            },
+            "costs": asdict(costs),
             "p_pos": priors.p_pos,
             "expected_cost": expected_cost(best.metrics, priors, costs),
         }

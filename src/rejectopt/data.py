@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -22,11 +22,6 @@ _CSV_HEADER = "id,label,score"
 
 class ScoresCsvError(ValueError):
     """Raised when a scores CSV file violates the expected format."""
-
-
-class ScoredExample(NamedTuple):
-    score: float
-    label: int  # POSITIVE (+1) or NEGATIVE (-1)
 
 
 class ScoredDataset:
@@ -49,17 +44,8 @@ class ScoredDataset:
         self.n_pos = int(np.sum(self.labels == POSITIVE))
         self.n_neg = int(np.sum(self.labels == NEGATIVE))
 
-    @classmethod
-    def from_examples(cls, examples: Iterable[ScoredExample]) -> "ScoredDataset":
-        examples = list(examples)
-        return cls([e.score for e in examples], [e.label for e in examples])
-
     def __len__(self) -> int:
         return self.scores.shape[0]
-
-    @property
-    def examples(self) -> list[ScoredExample]:
-        return [ScoredExample(float(s), int(l)) for s, l in zip(self.scores, self.labels)]
 
     @cached_property
     def pos_scores_sorted(self) -> np.ndarray:
@@ -146,9 +132,10 @@ def write_scored_csv(data: ScoredDataset, path) -> None:
     produced (scores serialized via ``repr``).
     """
     lines = [_CSV_HEADER]
-    for i, ex in enumerate(data.examples, start=1):
-        label_s = "+1" if ex.label == POSITIVE else "-1"
-        lines.append(f"{i},{label_s},{ex.score!r}")
+    rows = zip(data.scores.tolist(), data.labels.tolist())
+    for i, (score, label) in enumerate(rows, start=1):
+        label_s = "+1" if label == POSITIVE else "-1"
+        lines.append(f"{i},{label_s},{score!r}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

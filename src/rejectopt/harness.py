@@ -33,6 +33,8 @@ CostEntry = float | tuple[float, float]  # fixed value or uniform range [a, b]
 
 _METRIC_KEYS = {"acc": "acc", "auc": "auc", "g": "gmean", "gmean": "gmean"}
 
+_COST_TIE_TOL = 1e-9  # test-set costs closer than this count as identical
+
 
 class NoEligibleSolutionError(ValueError):
     """No solution satisfies the reject-rate cap(s)."""
@@ -208,7 +210,6 @@ def cost_comparison_experiment(
     trials: int,
     cfg: MobaConfig,
     seed: int,
-    cost_tie_tol: float = 1e-9,
     joint_correct: bool = False,
 ) -> ComparisonCounts:
     """Count lower/higher/identical test-set costs of the bi-objective model
@@ -219,7 +220,7 @@ def cost_comparison_experiment(
     bi-objective model is constructed). Otherwise the baseline's per-class
     reject rates become the caps, the optimizer runs, the min-cost solution
     is selected on the tuning set, and both models' expected costs on the
-    test set are compared at ``cost_tie_tol``. A trial whose optimizer run
+    test set are compared at ``_COST_TIE_TOL``. A trial whose optimizer run
     ends with no feasible pair also counts as identical (tracked in
     ``no_feasible``).
     """
@@ -250,9 +251,9 @@ def cost_comparison_experiment(
         best = select_min_cost(solutions, costs, priors_valid)
         moba_cost = _cost_on(test, best.thresholds, costs)
         tort_cost = _cost_on(test, tort.thresholds, costs)
-        if moba_cost < tort_cost - cost_tie_tol:
+        if moba_cost < tort_cost - _COST_TIE_TOL:
             lower += 1
-        elif moba_cost > tort_cost + cost_tie_tol:
+        elif moba_cost > tort_cost + _COST_TIE_TOL:
             higher += 1
         else:
             identical += 1
@@ -291,18 +292,18 @@ def curve_sweep(
     seed: int,
     metric: str = "auc",
     grid: list[float] | None = None,
-    cfn: float = 1.0,
-    cfp: float = 1.0,
 ) -> list[CurvePoint]:
     """Performance-rejection sweep of both models over the abstention grid.
 
     At each grid value k the bi-objective model runs with both per-class
     caps set to k (its implied overall cap then also equals k) and the
     solution with the best ``metric`` under the caps is kept; the bounded
-    abstention model runs with overall cap k. Each selected classifier is
-    scored on the test set; one point per (k, model), sorted by k then
-    model name. A grid value where the optimizer finds no feasible pair
-    gets a "moba" point without metrics (see :class:`CurvePoint`).
+    abstention model runs with overall cap k at unit misclassification
+    costs, so it minimizes the classified error rate. Each selected
+    classifier is scored on the test set; one point per (k, model), sorted
+    by k then model name. A grid value where the optimizer finds no
+    feasible pair gets a "moba" point without metrics (see
+    :class:`CurvePoint`).
     """
     valid.require_both_classes()
     test.require_both_classes()
@@ -320,7 +321,7 @@ def curve_sweep(
             solutions = evaluate_solutions([ind.thresholds for ind in result.pareto], valid)
             best = select_best_under_cap(solutions, metric, max_rpr=k, max_rnr=k)
             points.append(_curve_point(k, "moba", test, best.thresholds))
-        ba = ba_optimize(valid, k, cfn=cfn, cfp=cfp)
+        ba = ba_optimize(valid, k)
         points.append(_curve_point(k, "ba", test, ba.thresholds))
     points.sort(key=lambda p: (p.reject_param, p.model))
     return points

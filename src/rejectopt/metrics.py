@@ -36,9 +36,6 @@ class ThresholdPair:
         if not (self.t1 <= self.t2):  # also rejects NaNs
             raise ValueError(f"need t1 <= t2, got ({self.t1}, {self.t2})")
 
-    def is_strict(self) -> bool:
-        return self.t1 < self.t2
-
     def as_tuple(self) -> tuple[float, float]:
         return (self.t1, self.t2)
 
@@ -220,13 +217,6 @@ def expected_cost(m: EssentialMetrics, priors: ClassPriors, costs: CostMatrix) -
     ) + priors.p_neg * (
         costs.ctn * m.tnr_all + costs.cfp * m.fpr_all + costs.crn * m.rnr
     )
-
-
-def ba_objective(c: RejectionConfusion, cfn: float, cfp: float) -> float:
-    """Misclassification cost per classified example (bounded-abstention objective)."""
-    if c.n_classified < 1:
-        raise ValueError("all examples rejected: objective undefined")
-    return (cfn * c.fn + cfp * c.fp) / c.n_classified
 
 
 def empirical_priors(data: ScoredDataset) -> ClassPriors:

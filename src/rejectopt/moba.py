@@ -1,8 +1,12 @@
 """Constrained bi-objective threshold search with an elitist genetic engine.
 
 Minimizes (fpr, fnr) — both among-classified rates — over threshold pairs
-(t1, t2), subject to per-class reject-rate caps and t1 < t2. Constraint
+(t1, t2), subject to per-class reject-rate caps and t1 < t2, with at least
+one classified example of each class (so both rates are defined). Constraint
 handling is a death penalty: infeasible individuals get objectives (1, 1).
+The variables range over the tuning set's score range, and a child that
+breaks t1 < t2 is redrawn up to ``_MAX_RETRIES`` times before the operator
+falls back to the parent.
 
 Determinism contract: one seeded generator per run, consumed in a fixed
 order — initialization draws, then per generation selection draws, the
@@ -24,7 +28,7 @@ reorders it front by front before the first tournament.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,6 +37,8 @@ from .metrics import ThresholdPair, classify_with_rejection, confusion_counts, e
 
 Objectives = tuple[float, float]
 FrontSet = list[list[int]]  # fronts partition the population, best rank first
+
+_MAX_RETRIES = 100  # redraws of an operator child that breaks t1 < t2
 
 
 class NoFeasibleSolutionError(RuntimeError):
@@ -51,8 +57,8 @@ class MobaConfig:
     """Engine hyperparameters. Defaults mirror the published configuration
     (popsize 20, gensize 100, pc 0.9, pm 1/v with v=2, distribution indexes 20).
 
-    var_lower/var_upper bound both initialization and mutation; left unset,
-    the tuning set's score range is used.
+    The variables range over the tuning set's score range (see
+    :func:`resolve_bounds`); it is not a setting.
     """
 
     p_max: float
@@ -64,9 +70,6 @@ class MobaConfig:
     eta_c: float = 20.0
     eta_m: float = 20.0
     seed: int = 0
-    var_lower: float | None = None
-    var_upper: float | None = None
-    max_retries: int = 100
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.p_max <= 1.0 and 0.0 <= self.n_max <= 1.0):
@@ -79,16 +82,10 @@ class MobaConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0,1]")
-        if self.eta_c < 0 or self.eta_m < 0:
+        if not (self.eta_c >= 0 and self.eta_m >= 0):  # also rejects NaNs
             raise ValueError("distribution indexes must be non-negative")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if (self.var_lower is None) != (self.var_upper is None):
-            raise ValueError("set both var_lower and var_upper or neither")
-        if self.var_lower is not None and not self.var_lower < self.var_upper:
-            raise ValueError("need var_lower < var_upper")
 
 
 @dataclass
@@ -113,7 +110,6 @@ class EvolveResult:
     population: list[Individual]
     pareto: list[Individual]  # feasible members of the final first front
     generations: list[GenerationStats]
-    bounds: tuple[float, float]
     config: MobaConfig
     crossover_fallbacks: int = 0
     mutation_fallbacks: int = 0
@@ -122,29 +118,28 @@ class EvolveResult:
 def evaluate_batch(
     ts: list[ThresholdPair], valid: ScoredDataset, p_max: float, n_max: float
 ) -> list[tuple[Objectives, bool]]:
-    """:func:`evaluate` for many pairs with one confusion-kernel call.
+    """Objectives (fpr, fnr) and feasibility of each pair on the tuning set,
+    from one confusion-kernel call.
 
-    Rates are float64 quotients of the same integer counts, so they equal
-    the Python floats of the per-pair path bit for bit.
+    A pair is feasible when t1 < t2, both reject rates are within their caps
+    and each class keeps a classified example; an infeasible pair gets the
+    death penalty (1, 1). Rates are float64 quotients of the integer counts,
+    so they equal the Python floats of :func:`essential_metrics` bit for bit.
     """
     valid.require_both_classes()
     t1 = np.array([t.t1 for t in ts])
     t2 = np.array([t.t2 for t in ts])
     tp, fn, rp, fp, tn, rn = confusion_counts(valid, t1, t2)
-    feasible = (rp / valid.n_pos <= p_max) & (rn / valid.n_neg <= n_max) & (t1 < t2)
     pos_cls = tp + fn
     neg_cls = fp + tn
-    # death penalty, and rate 1.0 for a fully rejected class
-    f1 = np.where(feasible & (neg_cls > 0), fp / np.maximum(neg_cls, 1), 1.0)
-    f2 = np.where(feasible & (pos_cls > 0), fn / np.maximum(pos_cls, 1), 1.0)
+    feasible = (
+        (rp / valid.n_pos <= p_max) & (rn / valid.n_neg <= n_max) & (t1 < t2)
+        & (pos_cls > 0) & (neg_cls > 0)
+    )
+    # np.maximum avoids 0/0 where a class is fully rejected; such a pair is infeasible
+    f1 = np.where(feasible, fp / np.maximum(neg_cls, 1), 1.0)
+    f2 = np.where(feasible, fn / np.maximum(pos_cls, 1), 1.0)
     return list(zip(zip(f1.tolist(), f2.tolist()), feasible.tolist()))
-
-
-def evaluate(
-    t: ThresholdPair, valid: ScoredDataset, p_max: float, n_max: float
-) -> tuple[Objectives, bool]:
-    """Objectives (fpr, fnr) on the tuning set, death-penalty on infeasibility."""
-    return evaluate_batch([t], valid, p_max, n_max)[0]
 
 
 def fast_nondominated_sort(pop: list[Individual]) -> FrontSet:
@@ -258,47 +253,32 @@ def sbx_children(
     return (c1[0], c1[1]), (c2[0], c2[1])
 
 
-def _sbx_one_child(
-    p1: tuple[float, float],
-    p2: tuple[float, float],
-    eta_c: float,
-    rng: np.random.Generator,
-    which: int,
-) -> tuple[float, float]:
-    # Recompute a single child with fresh u draws (constraint redraw path).
-    sign = -1.0 if which == 1 else 1.0
-    vals = []
-    for m in range(2):
-        b = sbx_beta(rng.random(), eta_c)
-        vals.append(0.5 * ((1.0 + sign * b) * p1[m] + (1.0 - sign * b) * p2[m]))
-    return (vals[0], vals[1])
-
-
 def sbx_crossover(
     x1: ThresholdPair,
     x2: ThresholdPair,
     eta_c: float,
     rng: np.random.Generator,
     crossover_prob: float = 1.0,
-    max_retries: int = 100,
 ) -> tuple[ThresholdPair, ThresholdPair, bool]:
     """Simulated binary crossover of two threshold pairs.
 
     Applied with probability ``crossover_prob`` (one coin per pair),
     otherwise the parents are returned unchanged. A child violating
-    t1 < t2 is recomputed with fresh u draws, up to ``max_retries``
-    redraws; on exhaustion the corresponding parent is returned and the
-    third element of the result is True.
+    t1 < t2 is recomputed from a fresh :func:`sbx_children` draw, up to
+    ``_MAX_RETRIES`` redraws; on exhaustion the corresponding parent is
+    returned and the third element of the result is True.
     """
     if rng.random() >= crossover_prob:
         return x1, x2, False
-    raw1, raw2 = sbx_children(x1.as_tuple(), x2.as_tuple(), eta_c, rng)
+    p1, p2 = x1.as_tuple(), x2.as_tuple()
+    raws = sbx_children(p1, p2, eta_c, rng)
     out: list[ThresholdPair] = []
     fell_back = False
-    for raw, which, parent in ((raw1, 1, x1), (raw2, 2, x2)):
+    for k, parent in enumerate((x1, x2)):
+        raw = raws[k]
         tries = 0
-        while not raw[0] < raw[1] and tries < max_retries:
-            raw = _sbx_one_child(x1.as_tuple(), x2.as_tuple(), eta_c, rng, which)
+        while not raw[0] < raw[1] and tries < _MAX_RETRIES:
+            raw = sbx_children(p1, p2, eta_c, rng)[k]
             tries += 1
         if raw[0] < raw[1]:
             out.append(ThresholdPair(raw[0], raw[1]))
@@ -322,13 +302,12 @@ def polynomial_mutation(
     lower: float,
     upper: float,
     rng: np.random.Generator,
-    max_retries: int = 100,
 ) -> tuple[ThresholdPair, bool]:
     """Mutate each variable independently with probability ``mutation_prob``.
 
     Mutated values are clamped to [lower, upper]. If the mutated pair
     violates t1 < t2, fresh u draws are generated for the mutating
-    variables, up to ``max_retries`` redraws; on exhaustion the input is
+    variables, up to ``_MAX_RETRIES`` redraws; on exhaustion the input is
     returned unchanged and the second element of the result is True.
     """
     if not (lower < upper and math.isfinite(upper - lower)):
@@ -338,7 +317,7 @@ def polynomial_mutation(
         return x, False
     span = upper - lower
     base = x.as_tuple()
-    for _ in range(max_retries + 1):
+    for _ in range(_MAX_RETRIES + 1):
         vals = list(base)
         for m in range(2):
             if apply[m]:
@@ -352,8 +331,8 @@ def polynomial_mutation(
 def pop_initialization(
     valid: ScoredDataset, cfg: MobaConfig, rng: np.random.Generator
 ) -> list[ThresholdPair]:
-    """popsize pairs uniform over the variable box, rejection-sampled to t1 < t2."""
-    lo, hi = resolve_bounds(valid, cfg)
+    """popsize pairs uniform over the score range, rejection-sampled to t1 < t2."""
+    lo, hi = resolve_bounds(valid)
     pop: list[ThresholdPair] = []
     while len(pop) < cfg.popsize:
         a = lo + (hi - lo) * rng.random()
@@ -363,18 +342,15 @@ def pop_initialization(
     return pop
 
 
-def resolve_bounds(valid: ScoredDataset, cfg: MobaConfig) -> tuple[float, float]:
-    """Variable bounds: cfg's if set, else the tuning set's score range.
+def resolve_bounds(valid: ScoredDataset) -> tuple[float, float]:
+    """Variable bounds: the tuning set's score range.
 
     Raises ValueError when the range is empty or its width overflows to inf
     (initialization and mutation scale draws by it).
     """
-    if cfg.var_lower is not None:
-        lo, hi = cfg.var_lower, cfg.var_upper
-    else:
-        lo, hi = valid.score_range()
-        if not lo < hi:
-            raise ValueError("degenerate score range; supply var_lower/var_upper explicitly")
+    lo, hi = valid.score_range()
+    if not lo < hi:
+        raise ValueError("degenerate score range: every tuning score is equal")
     if not math.isfinite(hi - lo):
         raise ValueError(
             f"variable range ({lo}, {hi}) is too wide: its width overflows; rescale the scores"
@@ -426,29 +402,18 @@ def _generation_stats(generation: int, pop: list[Individual]) -> GenerationStats
     )
 
 
-def evolve(
-    valid: ScoredDataset,
-    cfg: MobaConfig,
-    score_range: tuple[float, float] | None = None,
-) -> EvolveResult:
+def evolve(valid: ScoredDataset, cfg: MobaConfig) -> EvolveResult:
     """Run the full generational loop and return population, Pareto set,
     and per-generation diagnostics. Deterministic for a fixed config.
 
-    ``score_range`` overrides the variable bounds (e.g. the training-set
-    score range); otherwise cfg bounds, then the tuning set's range.
+    Initialization and mutation range over the tuning set's score range
+    (see :func:`resolve_bounds`).
     """
     valid.require_both_classes()
-    if score_range is not None:
-        if not score_range[0] < score_range[1]:
-            raise ValueError("score_range must satisfy lower < upper")
-        run_cfg = replace(cfg, var_lower=score_range[0], var_upper=score_range[1])
-    else:
-        run_cfg = cfg
-    bounds = resolve_bounds(valid, run_cfg)
-    lo, hi = bounds
+    lo, hi = resolve_bounds(valid)
 
     rng = np.random.default_rng(cfg.seed)
-    initial = pop_initialization(valid, run_cfg, rng)
+    initial = pop_initialization(valid, cfg, rng)
     pop = elite_preservation(_make_individuals(initial, valid, cfg.p_max, cfg.n_max), cfg.popsize)
     stats = [_generation_stats(0, pop)]
     crossover_fallbacks = 0
@@ -465,15 +430,12 @@ def evolve(
                 cfg.eta_c,
                 rng,
                 cfg.crossover_prob,
-                cfg.max_retries,
             )
             crossover_fallbacks += fb
             child_thresholds.extend((c1, c2))
         mutated: list[ThresholdPair] = []
         for t in child_thresholds:
-            y, fb = polynomial_mutation(
-                t, cfg.mutation_prob, cfg.eta_m, lo, hi, rng, cfg.max_retries
-            )
+            y, fb = polynomial_mutation(t, cfg.mutation_prob, cfg.eta_m, lo, hi, rng)
             mutation_fallbacks += fb
             mutated.append(y)
 
@@ -488,23 +450,20 @@ def evolve(
         population=pop,
         pareto=pareto,
         generations=stats,
-        bounds=bounds,
         config=cfg,
         crossover_fallbacks=crossover_fallbacks,
         mutation_fallbacks=mutation_fallbacks,
     )
 
 
-def hypervolume_2d(
-    points: list[Objectives], reference: Objectives = (1.0, 1.0)
-) -> float:
-    """Area dominated by a set of minimization points up to the reference."""
-    eligible = sorted(p for p in points if p[0] <= reference[0] and p[1] <= reference[1])
+def hypervolume_2d(points: list[Objectives]) -> float:
+    """Area dominated by a set of minimization points up to the reference (1, 1)."""
+    eligible = sorted(p for p in points if p[0] <= 1.0 and p[1] <= 1.0)
     hv = 0.0
-    prev_f2 = reference[1]
+    prev_f2 = 1.0
     for f1, f2 in eligible:
         if f2 < prev_f2:
-            hv += (reference[0] - f1) * (prev_f2 - f2)
+            hv += (1.0 - f1) * (prev_f2 - f2)
             prev_f2 = f2
     return hv
 

@@ -13,7 +13,6 @@ from rejectopt.baselines import (
     ba_optimize,
     candidate_thresholds,
     check_reject_activation,
-    reject_activation,
     roc_points,
     rocch,
     tortorella_optimize,
@@ -307,11 +306,11 @@ class TestRocch:
 class TestRejectActivation:
     def test_symmetric_matrix_activated(self):
         costs = CostMatrix(ctp=-5, ctn=-5, cfp=40, cfn=40, crp=1, crn=1)
-        assert reject_activation(costs)
+        assert check_reject_activation(costs).activated
 
     def test_sign_analysis_activated(self):
         costs = CostMatrix(ctp=-2, ctn=0, cfp=10, cfn=10, crp=0, crn=0)
-        assert reject_activation(costs)
+        assert check_reject_activation(costs).activated
 
     def test_zero_denominator_diagnostic(self):
         costs = CostMatrix(ctp=-5, ctn=-5, cfp=40, cfn=1, crp=1, crn=1)  # cfn == crp

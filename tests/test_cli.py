@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,7 +92,8 @@ class TestOptimize:
         assert code == 3
 
     def test_fully_rejected_class_exports_null(self, tmp_path):
-        # caps of 1 admit pairs that reject every positive: fnr is undefined
+        # caps of 1 admit pairs that reject every positive, whose undefined fnr
+        # would export as null; the search counts such pairs infeasible instead
         path = tmp_path / "small.csv"
         write_scored_csv(synth_two_gaussian(15, 15, 0.3, -0.3, 1.0, seed=20), path)
         out = tmp_path / "opt"
@@ -101,12 +103,11 @@ class TestOptimize:
         ) == 0
         sols = json.loads((out / "pareto.json").read_text())["solutions"]
         rows = (out / "pareto.txt").read_text().splitlines()[2:]
-        assert len(rows) == len(sols)
-        undefined = [k for k, rec in enumerate(sols) if rec["rpr"] == 1.0]
-        assert len(undefined) == 3
-        for k, rec in enumerate(sols):
-            assert (rec["fnr"] is None) == (k in undefined)
-            assert (rows[k].split()[3] == "nan") == (k in undefined)
+        assert sols and len(rows) == len(sols)
+        for rec, row in zip(sols, rows):
+            assert rec["rpr"] < 1.0 and rec["rnr"] < 1.0
+            assert rec["fpr"] is not None and rec["fnr"] is not None
+            assert "nan" not in row.split()
         assert run(
             "select", "--pareto", str(out / "pareto.json"), "--mode", "best-metric",
             "--metric", "g", "--out", str(tmp_path / "sel"),
@@ -127,6 +128,16 @@ class TestOptimize:
         )
         assert code == 1
         assert not out.exists()  # flags are validated before any output is written
+
+    @pytest.mark.parametrize("flag", ["--eta-c", "--eta-m", "--pc"])
+    def test_nan_operator_setting_is_usage_error(self, scores_csv, tmp_path, flag):
+        out = tmp_path / "o"
+        code = run(
+            "optimize", "--scores", scores_csv, "--pmax", "0.1", "--nmax", "0.1",
+            flag, "nan", "--out", str(out),
+        )
+        assert code == 1
+        assert not out.exists()
 
     def test_parser_defaults_mirror_published_config(self):
         from rejectopt.cli import build_parser
@@ -307,7 +318,7 @@ class TestSelect:
         )
         assert code == 0
         chosen = json.loads((out / "selection.json").read_text())
-        doc = json.loads(open(pareto_json).read())
+        doc = json.loads(Path(pareto_json).read_text())
         meta = doc["metadata"]
         priors = ClassPriors(
             meta["n_pos"] / (meta["n_pos"] + meta["n_neg"]),
@@ -328,7 +339,7 @@ class TestSelect:
         )
         assert code == 0
         chosen = json.loads((out / "selection.json").read_text())
-        doc = json.loads(open(pareto_json).read())
+        doc = json.loads(Path(pareto_json).read_text())
         best_auc = max(
             (1.0 - rec["fnr"] + 1.0 - rec["fpr"]) / 2.0 for rec in doc["solutions"]
         )
@@ -429,7 +440,7 @@ class TestSelect:
             cost += q * (costs["ctn"] * tn + costs["cfp"] * fp + costs["crn"] * rn) / neg.size
             return acc, p * rpr + q * rnr, cost
 
-        front = [recount(r["t1"], r["t2"]) for r in json.loads(open(pareto_json).read())["solutions"]]
+        front = [recount(r["t1"], r["t2"]) for r in json.loads(Path(pareto_json).read_text())["solutions"]]
         flags = [x for key, value in costs.items() for x in (f"--{key}", str(value))]
         out = tmp_path / "cost"
         assert run("select", "--pareto", pareto_json, "--mode", "min-cost", "--p-pos", "0.3",

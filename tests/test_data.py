@@ -24,8 +24,8 @@ class TestLoadScoredCsv:
         write_csv(f, [("+1", "0.9"), ("-1", "0.1")])
         data = load_scored_csv(f)
         assert data.n_pos == 1 and data.n_neg == 1
-        assert data.examples[0].score == 0.9 and data.examples[0].label == POSITIVE
-        assert data.examples[1].score == 0.1 and data.examples[1].label == NEGATIVE
+        assert data.scores.tolist() == [0.9, 0.1]
+        assert data.labels.tolist() == [POSITIVE, NEGATIVE]
 
     def test_row_order_preserved(self, tmp_path):
         f = tmp_path / "s.csv"

@@ -9,7 +9,6 @@ from rejectopt.metrics import (
     CostMatrix,
     RejectionConfusion,
     ThresholdPair,
-    ba_objective,
     classify_with_rejection,
     confusion_counts,
     empirical_priors,
@@ -28,8 +27,7 @@ class TestThresholdPair:
             ThresholdPair(0.6, 0.4)
 
     def test_degenerate_allowed(self):
-        assert not ThresholdPair(0.5, 0.5).is_strict()
-        assert ThresholdPair(0.2, 0.5).is_strict()
+        assert ThresholdPair(0.5, 0.5).as_tuple() == (0.5, 0.5)
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
@@ -187,21 +185,6 @@ class TestExpectedCost:
             assert abs(
                 expected_cost(m, priors, costs.scaled(lam)) - lam * expected_cost(m, priors, costs)
             ) <= 1e-12
-
-
-class TestBaObjective:
-    def test_error_rate_at_unit_costs(self):
-        c = RejectionConfusion(tp=3, fn=1, rp=2, fp=1, tn=3, rn=1)
-        assert ba_objective(c, 1.0, 1.0) == pytest.approx(0.25)
-
-    def test_no_errors(self):
-        c = RejectionConfusion(tp=3, fn=0, rp=1, fp=0, tn=3, rn=0)
-        assert ba_objective(c, 5.0, 3.0) == 0.0
-
-    def test_all_rejected_is_error(self):
-        c = RejectionConfusion(tp=0, fn=0, rp=4, fp=0, tn=0, rn=4)
-        with pytest.raises(ValueError, match="rejected"):
-            ba_objective(c, 1.0, 1.0)
 
 
 class TestEmpiricalPriors:

@@ -294,7 +294,7 @@ class TestSbx:
         x1 = ThresholdPair(0.0, 1.0)
         x2 = ThresholdPair(0.9, 1.1)
         rng = StubRng(randoms=[0.75], cycle=True)  # coin passes, then beta = 2 forever
-        c1, c2, fell_back = sbx_crossover(x1, x2, 0.0, rng, crossover_prob=0.9, max_retries=5)
+        c1, c2, fell_back = sbx_crossover(x1, x2, 0.0, rng, crossover_prob=0.9)
         assert fell_back
         assert c1 == x1  # fallback copy of its parent
         assert c2.t1 == pytest.approx(-0.45) and c2.t2 == pytest.approx(0.95)
@@ -334,7 +334,7 @@ class TestPolynomialMutation:
         # upper bound below t1: the mutated t2 can never exceed t1
         x = ThresholdPair(0.5, 0.6)
         rng = StubRng(randoms=[0.9, 0.0, 0.3], cycle=True)
-        y, fell_back = polynomial_mutation(x, 0.5, 0.0, 0.0, 0.5, rng, max_retries=7)
+        y, fell_back = polynomial_mutation(x, 0.5, 0.0, 0.0, 0.5, rng)
         assert y == x and fell_back
 
     def test_no_mutation_no_extra_draws(self):
@@ -358,12 +358,6 @@ class TestPopInitialization:
         assert len(pop) == 20
         for t in pop:
             assert lo <= t.t1 < t.t2 <= hi
-
-    def test_explicit_bounds_override(self):
-        valid = synth_two_gaussian(10, 10, 0.5, -0.5, 0.3, seed=8)
-        cfg = MobaConfig(p_max=0.1, n_max=0.1, popsize=8, var_lower=-9.0, var_upper=9.0)
-        pop = pop_initialization(valid, cfg, np.random.default_rng(1))
-        assert any(t.t1 < valid.score_range()[0] or t.t2 > valid.score_range()[1] for t in pop)
 
     def test_degenerate_scores_need_bounds(self):
         valid = ScoredDataset([0.5, 0.5, 0.5, 0.5], [1, 1, -1, -1])
