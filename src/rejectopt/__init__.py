@@ -67,18 +67,12 @@ from .moba import (
     MobaConfig,
     NoFeasibleSolutionError,
     crowding_distance_assignment,
-    elite_preservation,
     evolve,
     fast_nondominated_sort,
     hypervolume_2d,
-    mutation_delta,
     pareto_document,
     polynomial_mutation,
-    pop_initialization,
-    sbx_beta,
-    sbx_children,
     sbx_crossover,
-    tournament_selection,
 )
 
 __version__ = "0.1.0"

@@ -192,11 +192,14 @@ def ba_optimize(
     a band of ``j - i <= k_max * total + 1`` can be feasible. The band is
     swept in chunks of at most ``_PAIR_CELLS`` cells, so memory stays linear
     in the number of examples whatever ``k_max``. Ties break by smaller
-    reject rate, then band width, then (t1, t2).
+    reject rate, then band width, then (t1, t2). The costs must be finite
+    and non-negative.
     """
     valid.require_both_classes()
     if not 0.0 < k_max < 1.0:
         raise ValueError(f"k_max must lie in (0,1), got {k_max}")
+    if not (0.0 <= cfn < np.inf and 0.0 <= cfp < np.inf):  # also rejects NaNs
+        raise ValueError(f"cfn and cfp must be finite and non-negative, got {cfn}, {cfp}")
     cands = candidate_thresholds(valid)
     total = len(valid)
     # per-cut counts: a cut used as t1 fixes (fn, tn), used as t2 fixes (tp, fp)

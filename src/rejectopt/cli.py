@@ -166,6 +166,8 @@ def cmd_baseline(args) -> int:
             raise UsageError("ba needs --kmax")
         if not 0.0 < args.kmax < 1.0:
             raise UsageError(f"--kmax must lie in (0,1), got {args.kmax}")
+        if not (0.0 <= args.cfn < math.inf and 0.0 <= args.cfp < math.inf):
+            raise UsageError("--cfn and --cfp must be finite and non-negative")
         data = _load_dataset(args.scores)
         res = ba_optimize(data, args.kmax, cfn=args.cfn, cfp=args.cfp)
         doc = {

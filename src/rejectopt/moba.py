@@ -8,12 +8,27 @@ The variables range over the tuning set's score range, and a child that
 breaks t1 < t2 is redrawn up to ``_MAX_RETRIES`` times before the operator
 falls back to the parent.
 
+A generation works on parallel lists of Python floats — t1, t2, objective
+tuples, feasibility, rank and crowding — and each operator handles the
+whole generation in one call. :class:`Individual` records are built once,
+for the final population and Pareto set.
+
 Determinism contract: one seeded generator per run, consumed in a fixed
-order — initialization draws, then per generation selection draws, the
-crossover u's (pair by pair), and the mutation u's (child by child).
-Objective evaluation consumes no randomness. The selection draws of one
-generation come from a single ``integers(0, n, size=2 * popsize)`` call,
-which yields the same stream as that many scalar calls.
+order. Initialization draws come first. Then, for each generation of
+popsize N:
+
+1. ``integers(0, N, size=2N)`` for the binary tournaments, drawn in the
+   order (first, second) per tournament;
+2. one ``random(B)`` block, B = N/2 + N + 2N + 2N, whose layout does not
+   depend on any outcome: N/2 crossover coins (one per mating pair), N SBX
+   first-try uniforms (t1 then t2 per pair), 2N mutation coins and 2N
+   mutation first-try uniforms (t1 then t2 per child);
+3. redraws for children that break t1 < t2: first the SBX children, child
+   by child, two draws (t1, t2) per redraw; then the mutated children,
+   child by child, one draw per mutating variable per redraw; at most
+   ``_MAX_RETRIES`` redraws per child.
+
+Objective evaluation consumes no randomness.
 
 Ranking is the two-objective O(N log N) sort; it lists every front in index
 order, so ties between equal objective vectors break by position.
@@ -28,6 +43,7 @@ reorders it front by front before the first tournament.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -82,8 +98,9 @@ class MobaConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0,1]")
-        if not (self.eta_c >= 0 and self.eta_m >= 0):  # also rejects NaNs
-            raise ValueError("distribution indexes must be non-negative")
+        # an infinite index makes every SBX spread 1 and every mutation step 0
+        if not (0 <= self.eta_c < math.inf and 0 <= self.eta_m < math.inf):  # also NaNs
+            raise ValueError("distribution indexes must be finite and non-negative")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -93,8 +110,8 @@ class Individual:
     thresholds: ThresholdPair
     objectives: Objectives
     feasible: bool
-    rank: int | None = None
-    crowding: float | None = None
+    rank: int
+    crowding: float
 
 
 @dataclass(frozen=True)
@@ -111,15 +128,15 @@ class EvolveResult:
     pareto: list[Individual]  # feasible members of the final first front
     generations: list[GenerationStats]
     config: MobaConfig
-    crossover_fallbacks: int = 0
-    mutation_fallbacks: int = 0
+    crossover_fallbacks: int = 0  # mating pairs with a child that fell back
+    mutation_fallbacks: int = 0  # children whose mutation fell back
 
 
 def evaluate_batch(
-    ts: list[ThresholdPair], valid: ScoredDataset, p_max: float, n_max: float
-) -> list[tuple[Objectives, bool]]:
-    """Objectives (fpr, fnr) and feasibility of each pair on the tuning set,
-    from one confusion-kernel call.
+    t1: list[float], t2: list[float], valid: ScoredDataset, p_max: float, n_max: float
+) -> tuple[list[Objectives], list[bool]]:
+    """Objectives (fpr, fnr) and feasibility of each pair (t1[i], t2[i]) on
+    the tuning set, from one confusion-kernel call.
 
     A pair is feasible when t1 < t2, both reject rates are within their caps
     and each class keeps a classified example; an infeasible pair gets the
@@ -127,99 +144,96 @@ def evaluate_batch(
     so they equal the Python floats of :func:`essential_metrics` bit for bit.
     """
     valid.require_both_classes()
-    t1 = np.array([t.t1 for t in ts])
-    t2 = np.array([t.t2 for t in ts])
-    tp, fn, rp, fp, tn, rn = confusion_counts(valid, t1, t2)
+    t1s = np.array(t1, dtype=np.float64)
+    t2s = np.array(t2, dtype=np.float64)
+    tp, fn, rp, fp, tn, rn = confusion_counts(valid, t1s, t2s)
     pos_cls = tp + fn
     neg_cls = fp + tn
     feasible = (
-        (rp / valid.n_pos <= p_max) & (rn / valid.n_neg <= n_max) & (t1 < t2)
+        (rp / valid.n_pos <= p_max) & (rn / valid.n_neg <= n_max) & (t1s < t2s)
         & (pos_cls > 0) & (neg_cls > 0)
     )
     # np.maximum avoids 0/0 where a class is fully rejected; such a pair is infeasible
     f1 = np.where(feasible, fp / np.maximum(neg_cls, 1), 1.0)
     f2 = np.where(feasible, fn / np.maximum(pos_cls, 1), 1.0)
-    return list(zip(zip(f1.tolist(), f2.tolist()), feasible.tolist()))
+    return list(zip(f1.tolist(), f2.tolist())), feasible.tolist()
 
 
-def fast_nondominated_sort(pop: list[Individual]) -> FrontSet:
-    """Partition indices into fronts, best rank first, each front in index
-    order; sets each ``rank``.
+def fast_nondominated_sort(objs: list[Objectives]) -> FrontSet:
+    """Partition indices of ``objs`` into fronts, best rank first, each front
+    in index order; an index's rank is the position of its front.
 
     Two-objective sweep (Jensen, IEEE TEC 2003), O(N log N): individuals are
     visited in lexicographic (f1, f2) order, so every dominator of an
     individual is visited before it. The last member of each front holds the
     front's smallest f2, and the fronts dominating an individual form a
     prefix, so a binary search over those last members finds its front.
+    Given the visiting order, a last member L dominates o exactly when
+    (L.f2, L.f1) < (o.f2, o.f1), and those swapped keys ascend with the
+    front, so the search is a ``bisect_left``.
     """
-    if not pop:
+    if not objs:
         raise ValueError("population is empty")
-    objs = [ind.objectives for ind in pop]
     fronts: FrontSet = []
-    lasts: list[Objectives] = []  # last-visited member of each front
+    lasts: list[Objectives] = []  # swapped key (f2, f1) of each front's last-visited member
     for i in sorted(range(len(objs)), key=objs.__getitem__):
-        o = objs[i]
-        lo, hi = 0, len(fronts)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            # lasts[mid][0] <= o[0] by the visiting order
-            if lasts[mid][1] <= o[1] and lasts[mid] != o:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(fronts):
-            fronts.append([])
-            lasts.append(o)
-        fronts[lo].append(i)
-        lasts[lo] = o
-        pop[i].rank = lo
+        f1, f2 = objs[i]
+        key = (f2, f1)
+        r = bisect_left(lasts, key)
+        if r == len(fronts):
+            fronts.append([i])
+            lasts.append(key)
+        else:
+            fronts[r].append(i)
+            lasts[r] = key
     for front in fronts:
         front.sort()
     return fronts
 
 
-def crowding_distance_assignment(front: list[Individual]) -> list[float]:
+def crowding_distance_assignment(objs: list[Objectives]) -> list[float]:
     """Crowding distances for one mutually non-dominated front, input order.
 
     Boundary individuals per objective get +inf; interior ones accumulate
     normalized neighbor gaps. A dimension with zero spread contributes 0.
     """
-    if not front:
+    if not objs:
         raise ValueError("front is empty")
-    n = len(front)
+    n = len(objs)
+    if n <= 2:
+        return [math.inf] * n
     dist = [0.0] * n
     for dim in range(2):
-        order = sorted(range(n), key=lambda i: front[i].objectives[dim])
-        lo = front[order[0]].objectives[dim]
-        hi = front[order[-1]].objectives[dim]
+        vals = [o[dim] for o in objs]
+        order = sorted(range(n), key=vals.__getitem__)
         dist[order[0]] = math.inf
         dist[order[-1]] = math.inf
-        span = hi - lo
+        span = vals[order[-1]] - vals[order[0]]
         if span <= 0.0:
             continue
         for k in range(1, n - 1):
             i = order[k]
             if dist[i] == math.inf:
                 continue
-            gap = front[order[k + 1]].objectives[dim] - front[order[k - 1]].objectives[dim]
-            dist[i] += gap / span
+            dist[i] += (vals[order[k + 1]] - vals[order[k - 1]]) / span
     return dist
 
 
 def tournament_selection(
-    pop: list[Individual], rng: np.random.Generator, count: int
-) -> list[Individual]:
-    """Binary tournaments: lower rank wins, then larger crowding, then first drawn.
+    rank: list[int], crowding: list[float], rng: np.random.Generator, count: int
+) -> list[int]:
+    """Indices of ``count`` binary-tournament winners: lower rank wins, then
+    larger crowding, then the first drawn.
 
     The 2 * count contestants come from one ``rng.integers`` call, drawn in
     the order (first, second) per tournament.
     """
-    drawn = [pop[int(i)] for i in rng.integers(0, len(pop), size=2 * count)]
-    winners: list[Individual] = []
+    if len(rank) != len(crowding):
+        raise ValueError("tournament requires a rank and a crowding distance per individual")
+    drawn = rng.integers(0, len(rank), size=2 * count).tolist()
+    winners: list[int] = []
     for a, b in zip(drawn[0::2], drawn[1::2]):
-        if a.rank is None or b.rank is None or a.crowding is None or b.crowding is None:
-            raise ValueError("tournament requires ranks and crowding distances assigned")
-        if b.rank < a.rank or (b.rank == a.rank and b.crowding > a.crowding):
+        if rank[b] < rank[a] or (rank[b] == rank[a] and crowding[b] > crowding[a]):
             winners.append(b)
         else:
             winners.append(a)
@@ -233,59 +247,40 @@ def sbx_beta(u: float, eta_c: float) -> float:
     return (2.0 - 2.0 * u) ** (-1.0 / (eta_c + 1.0))
 
 
-def sbx_children(
-    p1: tuple[float, float],
-    p2: tuple[float, float],
-    eta_c: float,
-    rng: np.random.Generator,
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """One raw SBX draw per variable; no constraint handling.
-
-    Per variable the child pair mean equals the parent pair mean, and
-    u = 0.5 gives beta = 1, i.e. the parents swapped.
-    """
-    c1 = []
-    c2 = []
-    for m in range(2):
-        b = sbx_beta(rng.random(), eta_c)
-        c1.append(0.5 * ((1.0 - b) * p1[m] + (1.0 + b) * p2[m]))
-        c2.append(0.5 * ((1.0 + b) * p1[m] + (1.0 - b) * p2[m]))
-    return (c1[0], c1[1]), (c2[0], c2[1])
-
-
 def sbx_crossover(
-    x1: ThresholdPair,
-    x2: ThresholdPair,
-    eta_c: float,
-    rng: np.random.Generator,
-    crossover_prob: float = 1.0,
-) -> tuple[ThresholdPair, ThresholdPair, bool]:
-    """Simulated binary crossover of two threshold pairs.
+    t1: list[float], t2: list[float], coins: list[float], us: list[float],
+    eta_c: float, crossover_prob: float, rng: np.random.Generator,
+) -> tuple[list[float], list[float], list[int]]:
+    """Simulated binary crossover of a generation's mating pairs.
 
-    Applied with probability ``crossover_prob`` (one coin per pair),
-    otherwise the parents are returned unchanged. A child violating
-    t1 < t2 is recomputed from a fresh :func:`sbx_children` draw, up to
-    ``_MAX_RETRIES`` redraws; on exhaustion the corresponding parent is
-    returned and the third element of the result is True.
+    Parents 2k and 2k+1 form pair k, crossed when ``coins[k] <
+    crossover_prob`` and otherwise passed on unchanged. Its two children
+    share the spread factors of ``us[2k]`` (t1) and ``us[2k+1]`` (t2), so
+    per variable they keep the parents' mean, and u = 0.5 swaps the parents.
+    A child violating t1 < t2 is recomputed from two fresh ``rng.random()``
+    draws (t1, t2), up to ``_MAX_RETRIES`` redraws, and is then a copy of its
+    own parent. Returns the children's t1 and t2 and the indices of the
+    children that fell back.
     """
-    if rng.random() >= crossover_prob:
-        return x1, x2, False
-    p1, p2 = x1.as_tuple(), x2.as_tuple()
-    raws = sbx_children(p1, p2, eta_c, rng)
-    out: list[ThresholdPair] = []
-    fell_back = False
-    for k, parent in enumerate((x1, x2)):
-        raw = raws[k]
-        tries = 0
-        while not raw[0] < raw[1] and tries < _MAX_RETRIES:
-            raw = sbx_children(p1, p2, eta_c, rng)[k]
-            tries += 1
-        if raw[0] < raw[1]:
-            out.append(ThresholdPair(raw[0], raw[1]))
-        else:
-            out.append(parent)
-            fell_back = True
-    return out[0], out[1], fell_back
+    out1, out2 = list(t1), list(t2)
+    fell: list[int] = []
+    for k, coin in enumerate(coins):
+        if coin >= crossover_prob:
+            continue
+        first = (sbx_beta(us[2 * k], eta_c), sbx_beta(us[2 * k + 1], eta_c))
+        for own, mate in ((2 * k, 2 * k + 1), (2 * k + 1, 2 * k)):
+            b1, b2 = first
+            for tries in range(_MAX_RETRIES + 1):
+                if tries:
+                    b1, b2 = sbx_beta(rng.random(), eta_c), sbx_beta(rng.random(), eta_c)
+                x1 = 0.5 * ((1.0 - b1) * t1[own] + (1.0 + b1) * t1[mate])
+                x2 = 0.5 * ((1.0 - b2) * t2[own] + (1.0 + b2) * t2[mate])
+                if x1 < x2:
+                    out1[own], out2[own] = x1, x2
+                    break
+            else:
+                fell.append(own)
+    return out1, out2, fell
 
 
 def mutation_delta(u: float, eta_m: float) -> float:
@@ -296,50 +291,61 @@ def mutation_delta(u: float, eta_m: float) -> float:
 
 
 def polynomial_mutation(
-    x: ThresholdPair,
-    mutation_prob: float,
-    eta_m: float,
-    lower: float,
-    upper: float,
-    rng: np.random.Generator,
-) -> tuple[ThresholdPair, bool]:
-    """Mutate each variable independently with probability ``mutation_prob``.
+    t1: list[float], t2: list[float], coins: list[float], us: list[float],
+    mutation_prob: float, eta_m: float, lower: float, upper: float, rng: np.random.Generator,
+) -> tuple[list[float], list[float], list[int]]:
+    """Polynomial mutation of a generation's children (t1[i], t2[i]).
 
-    Mutated values are clamped to [lower, upper]. If the mutated pair
-    violates t1 < t2, fresh u draws are generated for the mutating
-    variables, up to ``_MAX_RETRIES`` redraws; on exhaustion the input is
-    returned unchanged and the second element of the result is True.
+    Variable m of child i mutates when ``coins[2i + m] < mutation_prob``,
+    first with ``us[2i + m]``; mutated values are clamped to [lower, upper].
+    If the child violates t1 < t2, fresh ``rng.random()`` draws replace the
+    u's of its mutating variables (t1 first), up to ``_MAX_RETRIES``
+    redraws, and the child is then returned unchanged. Returns the mutated
+    t1 and t2 and the indices of the children whose mutation fell back.
     """
     if not (lower < upper and math.isfinite(upper - lower)):
         raise ValueError(f"need lower < upper with a finite span, got ({lower}, {upper})")
-    apply = (rng.random() < mutation_prob, rng.random() < mutation_prob)
-    if not (apply[0] or apply[1]):
-        return x, False
     span = upper - lower
-    base = x.as_tuple()
-    for _ in range(_MAX_RETRIES + 1):
-        vals = list(base)
-        for m in range(2):
-            if apply[m]:
-                v = vals[m] + span * mutation_delta(rng.random(), eta_m)
-                vals[m] = min(max(v, lower), upper)
-        if vals[0] < vals[1]:
-            return ThresholdPair(vals[0], vals[1]), False
-    return x, True
+    out1, out2 = list(t1), list(t2)
+    fell: list[int] = []
+    for i, (a, b) in enumerate(zip(t1, t2)):
+        m1, m2 = coins[2 * i] < mutation_prob, coins[2 * i + 1] < mutation_prob
+        if not (m1 or m2):
+            continue
+        u1, u2 = us[2 * i], us[2 * i + 1]
+        for tries in range(_MAX_RETRIES + 1):
+            if tries:
+                u1 = rng.random() if m1 else u1
+                u2 = rng.random() if m2 else u2
+            x1, x2 = a, b
+            if m1:
+                x1 = a + span * mutation_delta(u1, eta_m)
+                x1 = lower if x1 < lower else upper if x1 > upper else x1
+            if m2:
+                x2 = b + span * mutation_delta(u2, eta_m)
+                x2 = lower if x2 < lower else upper if x2 > upper else x2
+            if x1 < x2:
+                out1[i], out2[i] = x1, x2
+                break
+        else:
+            fell.append(i)
+    return out1, out2, fell
 
 
 def pop_initialization(
     valid: ScoredDataset, cfg: MobaConfig, rng: np.random.Generator
-) -> list[ThresholdPair]:
-    """popsize pairs uniform over the score range, rejection-sampled to t1 < t2."""
+) -> tuple[list[float], list[float]]:
+    """t1 and t2 of popsize pairs uniform over the score range,
+    rejection-sampled to t1 < t2."""
     lo, hi = resolve_bounds(valid)
-    pop: list[ThresholdPair] = []
-    while len(pop) < cfg.popsize:
+    t1, t2 = [], []
+    while len(t1) < cfg.popsize:
         a = lo + (hi - lo) * rng.random()
         b = lo + (hi - lo) * rng.random()
         if a < b:
-            pop.append(ThresholdPair(a, b))
-    return pop
+            t1.append(a)
+            t2.append(b)
+    return t1, t2
 
 
 def resolve_bounds(valid: ScoredDataset) -> tuple[float, float]:
@@ -358,91 +364,79 @@ def resolve_bounds(valid: ScoredDataset) -> tuple[float, float]:
     return lo, hi
 
 
-def elite_preservation(combined: list[Individual], popsize: int) -> list[Individual]:
-    """Keep the best ``popsize`` individuals: whole fronts in rank order,
+def elite_preservation(
+    objs: list[Objectives], popsize: int
+) -> tuple[list[int], list[int], list[float]]:
+    """The best ``popsize`` indices of ``objs``: whole fronts in rank order,
     overflow front truncated by descending crowding distance.
 
-    Every survivor leaves with its rank and its crowding distance within its
-    front of ``combined``; tournaments and the final Pareto set reuse them.
+    Returns the survivors' indices with, position by position, their rank
+    and their crowding distance within their front of ``objs``; tournaments
+    and the final Pareto set reuse them.
     """
-    fronts = fast_nondominated_sort(combined)
-    survivors: list[Individual] = []
-    for front_idx in fronts:
-        members = [combined[i] for i in front_idx]
-        dists = crowding_distance_assignment(members)
-        for ind, d in zip(members, dists):
-            ind.crowding = d
-        if len(survivors) + len(members) <= popsize:
-            survivors.extend(members)
-            if len(survivors) == popsize:
-                break
-        else:
-            room = popsize - len(survivors)
-            order = sorted(range(len(members)), key=lambda i: -dists[i])
-            survivors.extend(members[i] for i in order[:room])
+    keep, rank, crowding = [], [], []
+    for r, front in enumerate(fast_nondominated_sort(objs)):
+        dists = crowding_distance_assignment([objs[i] for i in front])
+        room = popsize - len(keep)
+        if len(front) > room:
+            order = sorted(range(len(front)), key=dists.__getitem__, reverse=True)[:room]
+            front = [front[i] for i in order]
+            dists = [dists[i] for i in order]
+        keep += front
+        rank += [r] * len(front)
+        crowding += dists
+        if len(keep) == popsize:
             break
-    return survivors
-
-
-def _make_individuals(
-    ts: list[ThresholdPair], valid: ScoredDataset, p_max: float, n_max: float
-) -> list[Individual]:
-    return [
-        Individual(thresholds=t, objectives=obj, feasible=feasible)
-        for t, (obj, feasible) in zip(ts, evaluate_batch(ts, valid, p_max, n_max))
-    ]
-
-
-def _generation_stats(generation: int, pop: list[Individual]) -> GenerationStats:
-    return GenerationStats(
-        generation=generation,
-        min_f1=min(ind.objectives[0] for ind in pop),
-        min_f2=min(ind.objectives[1] for ind in pop),
-        feasible_count=sum(1 for ind in pop if ind.feasible),
-    )
+    return keep, rank, crowding
 
 
 def evolve(valid: ScoredDataset, cfg: MobaConfig) -> EvolveResult:
     """Run the full generational loop and return population, Pareto set,
-    and per-generation diagnostics. Deterministic for a fixed config.
+    and per-generation diagnostics. Deterministic for a fixed config (see
+    the module docstring for the draw order).
 
     Initialization and mutation range over the tuning set's score range
     (see :func:`resolve_bounds`).
     """
     valid.require_both_classes()
     lo, hi = resolve_bounds(valid)
+    n, half = cfg.popsize, cfg.popsize // 2
+    p_max, n_max = cfg.p_max, cfg.n_max
 
     rng = np.random.default_rng(cfg.seed)
-    initial = pop_initialization(valid, cfg, rng)
-    pop = elite_preservation(_make_individuals(initial, valid, cfg.p_max, cfg.n_max), cfg.popsize)
-    stats = [_generation_stats(0, pop)]
-    crossover_fallbacks = 0
-    mutation_fallbacks = 0
+    t1, t2 = pop_initialization(valid, cfg, rng)
+    objs, feas = evaluate_batch(t1, t2, valid, p_max, n_max)
+    stats: list[GenerationStats] = []
+    crossover_fallbacks = mutation_fallbacks = 0
 
-    for gen in range(1, cfg.gensize + 1):
-        parents = tournament_selection(pop, rng, cfg.popsize)
+    for gen in range(cfg.gensize + 1):
+        keep, rank, crowding = elite_preservation(objs, n)
+        t1, t2, objs, feas = ([x[i] for i in keep] for x in (t1, t2, objs, feas))
+        f1, f2 = min(o[0] for o in objs), min(o[1] for o in objs)
+        stats.append(GenerationStats(gen, f1, f2, sum(feas)))
+        if gen == cfg.gensize:
+            break
 
-        child_thresholds: list[ThresholdPair] = []
-        for i in range(0, cfg.popsize, 2):
-            c1, c2, fb = sbx_crossover(
-                parents[i].thresholds,
-                parents[i + 1].thresholds,
-                cfg.eta_c,
-                rng,
-                cfg.crossover_prob,
-            )
-            crossover_fallbacks += fb
-            child_thresholds.extend((c1, c2))
-        mutated: list[ThresholdPair] = []
-        for t in child_thresholds:
-            y, fb = polynomial_mutation(t, cfg.mutation_prob, cfg.eta_m, lo, hi, rng)
-            mutation_fallbacks += fb
-            mutated.append(y)
+        won = tournament_selection(rank, crowding, rng, n)
+        block = rng.random(half + 5 * n).tolist()
+        c1, c2, fell = sbx_crossover(
+            [t1[i] for i in won], [t2[i] for i in won], block[:half], block[half:half + n],
+            cfg.eta_c, cfg.crossover_prob, rng,
+        )
+        crossover_fallbacks += len({i // 2 for i in fell})
+        c1, c2, fell = polynomial_mutation(
+            c1, c2, block[half + n:half + 3 * n], block[half + 3 * n:],
+            cfg.mutation_prob, cfg.eta_m, lo, hi, rng,
+        )
+        mutation_fallbacks += len(fell)
 
-        children = _make_individuals(mutated, valid, cfg.p_max, cfg.n_max)
-        pop = elite_preservation(pop + children, cfg.popsize)
-        stats.append(_generation_stats(gen, pop))
+        c_objs, c_feas = evaluate_batch(c1, c2, valid, p_max, n_max)
+        t1, t2, objs, feas = t1 + c1, t2 + c2, objs + c_objs, feas + c_feas
 
+    pop = [
+        Individual(ThresholdPair(a, b), o, f, r, c)
+        for a, b, o, f, r, c in zip(t1, t2, objs, feas, rank, crowding)
+    ]
     pareto = [ind for ind in pop if ind.rank == 0 and ind.feasible]
     if not pareto:
         raise NoFeasibleSolutionError(cfg.p_max, cfg.n_max)

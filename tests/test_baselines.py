@@ -436,6 +436,15 @@ class TestBaOptimize:
         with pytest.raises(ValueError, match="k_max"):
             ba_optimize(data, 1.0)
 
+    @pytest.mark.parametrize("cost", ["cfn", "cfp"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_costs_validated(self, cost, value):
+        # nan and inf used to crash on an empty tie set; -1 gave a negative objective
+        data = synth_two_gaussian(5, 5, 0.5, -0.5, 1.0, seed=1)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            ba_optimize(data, 0.2, **{cost: value})
+        ba_optimize(data, 0.2, **{cost: 0.0})
+
     @settings(max_examples=300, deadline=None)
     @given(
         tied_examples,

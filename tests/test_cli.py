@@ -131,13 +131,14 @@ class TestOptimize:
 
     @pytest.mark.parametrize("flag", ["--eta-c", "--eta-m", "--pc"])
     def test_nan_operator_setting_is_usage_error(self, scores_csv, tmp_path, flag):
-        out = tmp_path / "o"
-        code = run(
-            "optimize", "--scores", scores_csv, "--pmax", "0.1", "--nmax", "0.1",
-            flag, "nan", "--out", str(out),
-        )
-        assert code == 1
-        assert not out.exists()
+        for value in ("nan", "inf"):
+            out = tmp_path / value
+            code = run(
+                "optimize", "--scores", scores_csv, "--pmax", "0.1", "--nmax", "0.1",
+                flag, value, "--out", str(out),
+            )
+            assert code == 1
+            assert not out.exists()
 
     def test_parser_defaults_mirror_published_config(self):
         from rejectopt.cli import build_parser
@@ -162,6 +163,18 @@ class TestBaseline:
         assert doc["metadata"]["model"] == "ba"
         assert doc["metadata"]["cfn"] == 1.0 and doc["metadata"]["cfp"] == 1.0
         assert len(doc["solutions"]) == 1
+
+    @pytest.mark.parametrize("flag", ["--cfn", "--cfp"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_ba_bad_cost_is_usage_error(self, scores_csv, tmp_path, capsys, flag, value):
+        out = tmp_path / "ba"
+        code = run(
+            "baseline", "--scores", scores_csv, "--model", "ba", "--kmax", "0.1",
+            flag, value, "--out", str(out),
+        )
+        assert code == 1
+        assert not out.exists()
+        assert "finite and non-negative" in capsys.readouterr().err
 
     def test_ba_needs_kmax(self, scores_csv, tmp_path):
         code = run("baseline", "--scores", scores_csv, "--model", "ba", "--out", str(tmp_path / "o"))

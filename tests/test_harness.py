@@ -226,17 +226,19 @@ class TestCurveSweep:
         import rejectopt.harness as harness
         from rejectopt.moba import NoFeasibleSolutionError
 
-        def evolve_failing_at_016(valid, cfg):
-            if cfg.p_max == 0.16:
+        def evolve_failing_at_032(valid, cfg):
+            if cfg.p_max == 0.32:
                 raise NoFeasibleSolutionError(cfg.p_max, cfg.n_max)
             return evolve(valid, cfg)
 
-        monkeypatch.setattr(harness, "evolve", evolve_failing_at_016)
+        monkeypatch.setattr(harness, "evolve", evolve_failing_at_032)
         valid, test = splits
-        cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=12, gensize=15)
-        points = curve_sweep(valid, test, cfg, seed=1, grid=[0.08, 0.16, 0.24])
+        # at caps 0.24 and 0.40 this budget found a feasible pair for each of
+        # 5 000 sweep seeds checked, so only the patched point is missing
+        cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=20, gensize=15)
+        points = curve_sweep(valid, test, cfg, seed=1, grid=[0.24, 0.32, 0.40])
         assert [(p.reject_param, p.model) for p in points] == [
-            (k, m) for k in (0.08, 0.16, 0.24) for m in ("ba", "moba")
+            (k, m) for k in (0.24, 0.32, 0.40) for m in ("ba", "moba")
         ]
         missing = points[3]
         assert (missing.acc, missing.auc, missing.gmean) == (None, None, None)
@@ -244,7 +246,7 @@ class TestCurveSweep:
         assert all(not math.isnan(p.observed_rej) for i, p in enumerate(points) if i != 3)
         write_curve_csv(tmp_path / "curves.csv", points)
         rows = (tmp_path / "curves.csv").read_text().splitlines()
-        assert rows[4] == "0.16,moba,nan,nan,nan,nan"
+        assert rows[4] == "0.32,moba,nan,nan,nan,nan"
 
     def test_equal_caps_imply_overall_cap_on_tuning_set(self, splits):
         valid, test = splits

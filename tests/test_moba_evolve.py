@@ -24,19 +24,19 @@ def count_rejects(data, t1, t2):
 class TestEvaluate:
     def test_separable_no_rejection(self):
         valid = ScoredDataset([0.9, 0.8, 0.1, 0.2], [1, 1, -1, -1])
-        obj, feasible = evaluate_batch([ThresholdPair(0.4, 0.5)], valid, 0.1, 0.1)[0]
-        assert feasible and obj == (0.0, 0.0)
+        objs, feasible = evaluate_batch([0.4], [0.5], valid, 0.1, 0.1)
+        assert feasible == [True] and objs == [(0.0, 0.0)]
 
     def test_cap_violation_penalized(self):
         valid = ScoredDataset([0.9, 0.5, 0.1, 0.2], [1, 1, -1, -1])
         # band (0.3, 0.6] rejects one of two positives: rpr = 0.5 > 0.1
-        obj, feasible = evaluate_batch([ThresholdPair(0.3, 0.6)], valid, 0.1, 0.1)[0]
-        assert not feasible and obj == (1.0, 1.0)
+        objs, feasible = evaluate_batch([0.3], [0.6], valid, 0.1, 0.1)
+        assert feasible == [False] and objs == [(1.0, 1.0)]
 
     def test_degenerate_pair_infeasible(self):
         valid = ScoredDataset([0.9, 0.1], [1, -1])
-        obj, feasible = evaluate_batch([ThresholdPair(0.5, 0.5)], valid, 0.5, 0.5)[0]
-        assert not feasible and obj == (1.0, 1.0)
+        objs, feasible = evaluate_batch([0.5], [0.5], valid, 0.5, 0.5)
+        assert feasible == [False] and objs == [(1.0, 1.0)]
 
     def test_batch_equals_per_pair_floats(self):
         def per_pair(t, data, p_max, n_max):
@@ -64,9 +64,11 @@ class TestEvaluate:
                 p_max = n_max = 1.0
             else:
                 p_max, n_max = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
-            got = evaluate_batch(ts, data, p_max, n_max)
-            assert got == [per_pair(t, data, p_max, n_max) for t in ts]
-            assert all(type(f) is float for obj, _ in got for f in obj)
+            objs, feasible = evaluate_batch(
+                [t.t1 for t in ts], [t.t2 for t in ts], data, p_max, n_max
+            )
+            assert list(zip(objs, feasible)) == [per_pair(t, data, p_max, n_max) for t in ts]
+            assert all(type(f) is float for obj in objs for f in obj)
 
 
 class TestHypervolume:
@@ -175,9 +177,10 @@ class TestMobaConfig:
         MobaConfig(p_max=0.0, n_max=1.0)
 
     @pytest.mark.parametrize("field", ["eta_c", "eta_m"])
-    @pytest.mark.parametrize("value", [-1.0, math.nan])
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
     def test_distribution_index_range(self, field, value):
-        # a NaN index would make every operator draw fail and clone the parents
+        # a NaN index would make every operator draw fail and clone the parents;
+        # an infinite one makes every spread 1 and every step 0, freezing the search
         with pytest.raises(ValueError, match="distribution indexes"):
             MobaConfig(p_max=0.1, n_max=0.1, **{field: value})
         MobaConfig(p_max=0.1, n_max=0.1, **{field: 0.0})
