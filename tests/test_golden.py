@@ -36,6 +36,14 @@ CASES = {
         ["curves", "--seed", "5", "--popsize", "20", "--gensize", "40"],
         "curves.csv",
     ),
+    "baseline_ba.json": (
+        ["baseline", "--model", "ba", "--kmax", "0.05"],
+        "baseline.json",
+    ),
+    "baseline_ba_costs.json": (  # non-dyadic cost: float ties, not exact ones, decide
+        ["baseline", "--model", "ba", "--kmax", "0.25", "--cfn", "0.1", "--cfp", "3"],
+        "baseline.json",
+    ),
     "selection_min_cost.json": (
         ["select", "--pareto", PARETO, "--mode", "min-cost", "--ctp", "-2", "--ctn", "-2",
          "--cfp", "30", "--cfn", "40", "--crp", "2", "--crn", "2"],
