@@ -4,14 +4,20 @@ with its reject-activation condition, and the bounded-abstention model.
 Both are solved exactly over candidate thresholds (midpoints between
 consecutive distinct scores plus below-min/above-max sentinels), which reach
 every achievable confusion matrix on a finite tuning set. The hull model
-evaluates all ordered hull-vertex pairs in one confusion-kernel call. The
-bounded-abstention model sweeps only the band of candidate pairs its reject
-budget allows, in chunks of bounded size, so its memory stays linear in the
-number of examples.
+evaluates all ordered hull-vertex pairs in one confusion-kernel call.
+
+The bounded-abstention model is a ratio objective over a window of upper
+cuts per lower cut. A parametric search (Dinkelbach) finds the optimum
+ratio from window minima of a sparse table in O(k log k) time; an exact
+decision then enumerates, in chunks of bounded size, only the rows holding
+a pair that ties that ratio to within a rounding bound, and picks among
+them with the float objective and tie order of an exhaustive search. Its
+memory stays linear in the number of examples.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,6 +186,20 @@ def tortorella_optimize(
     )
 
 
+def _window_min(g: np.ndarray, r: np.ndarray, levels: list[np.ndarray]) -> np.ndarray:
+    """``min(g[i : r[i] + 1])`` for every i, from a sparse table built one
+    level at a time; ``levels[p]`` lists the windows whose length has
+    ``floor(log2) == p``, so memory stays linear."""
+    out = np.empty_like(g)
+    table = g  # at level p, table[x] = min(g[x : x + 2**p])
+    for p, rows in enumerate(levels):
+        if p:
+            half = 1 << (p - 1)
+            table = np.minimum(table[:-half], table[half:])
+        out[rows] = np.minimum(table[rows], table[r[rows] - (1 << p) + 1])
+    return out
+
+
 def ba_optimize(
     valid: ScoredDataset, k_max: float, cfn: float = 1.0, cfp: float = 1.0
 ) -> BaResult:
@@ -187,54 +207,105 @@ def ba_optimize(
     example subject to overall reject rate <= k_max.
 
     Exact over ordered candidate pairs (i <= j); t1 = t2 pairs reject
-    nothing, so a feasible pair always exists. Consecutive cuts differ by at
-    least one example, so a pair rejects at least ``j - i`` examples and only
-    a band of ``j - i <= k_max * total + 1`` can be feasible. The band is
-    swept in chunks of at most ``_PAIR_CELLS`` cells, so memory stays linear
-    in the number of examples whatever ``k_max``. Ties break by smaller
-    reject rate, then band width, then (t1, t2). The costs must be finite
-    and non-negative.
+    nothing, so a feasible pair always exists. The objective of pair (i, j)
+    is ``(cfn*fn_i + cfp*fp_j) / (c_i + e_j)``, where cut i fixes
+    ``fn, tn`` as t1 (``c = fn + tn``) and cut j fixes ``tp, fp`` as t2
+    (``e = tp + fp``); ties break by smaller reject rate, then band width,
+    then (t1, t2). The solver runs in three steps:
+
+    1. Windows. ``e`` falls as j grows, so the feasible t2 cuts of t1 cut i
+       form a window ``[i, r(i)]``, found by one binary search against the
+       smallest classified count whose reject rate is at most ``k_max``.
+    2. Parametric search (Dinkelbach, Management Science 1967). For a ratio
+       ``lam``, ``min (cfn*fn_i - lam*c_i) + (cfp*fp_j - lam*e_j)`` splits
+       per row; a sparse table gives every window's minimum of the second
+       term in O(k log w). ``lam`` becomes the float objective of the best
+       pair until it stops decreasing.
+    3. Exact decision. Every pair whose exact ratio lies within a rounding
+       bound of ``lam`` sits in a row whose window minimum passes a
+       conservative slack; those rows are enumerated in chunks of at most
+       ``_PAIR_CELLS`` cells with the float objective and the tie key
+       above, so the result is that of an exhaustive search in float.
+
+    Time is O(k log k) plus the near-tie rows' windows (the whole band when
+    every pair ties, as with zero costs); memory stays linear in the number
+    of examples. The costs must be finite and non-negative, with
+    ``(cfn*n_pos + cfp*n_neg) * total`` finite.
     """
     valid.require_both_classes()
     if not 0.0 < k_max < 1.0:
         raise ValueError(f"k_max must lie in (0,1), got {k_max}")
     if not (0.0 <= cfn < np.inf and 0.0 <= cfp < np.inf):  # also rejects NaNs
         raise ValueError(f"cfn and cfp must be finite and non-negative, got {cfn}, {cfp}")
-    cands = candidate_thresholds(valid)
     total = len(valid)
+    if not math.isfinite((float(cfn) * valid.n_pos + float(cfp) * valid.n_neg) * total):
+        raise ValueError("cfn and cfp are too large: (cfn*n_pos + cfp*n_neg)*n overflows")
+    cands = candidate_thresholds(valid)
+    k = cands.size
     # per-cut counts: a cut used as t1 fixes (fn, tn), used as t2 fixes (tp, fp)
     tp, fn, _, fp, tn, _ = (
         c.astype(np.float64) for c in confusion_counts(valid, cands, cands)
     )
     fn_tn = fn + tn
+    tp_fp = tp + fp
     cfn_fn = cfn * fn
     cfp_fp = cfp * fp
 
-    k = cands.size
-    width = min(k, int(k_max * total) + 2)  # offsets j - i in [0, width)
-    n_cells = k * width
-    # running best (objective, rej, width, t1, t2); the first chunk holds the
-    # always-feasible pair (0, 0), so it sets a finite objective
+    def objective(i, j):
+        return (cfn_fn[i] + cfp_fp[j]) / (fn_tn[i] + tp_fp[j])
+
+    # 1. windows: the reject rate falls as the classified count grows
+    rej_by_count = (total - np.arange(total + 1.0)) / total
+    c_min = total + 1 - np.searchsorted(rej_by_count[::-1], k_max, side="right")
+    r = np.searchsorted(-tp_fp, fn_tn - c_min, side="right") - 1  # r(i) >= i
+    level = np.frexp(r - np.arange(k) + 1.0)[1] - 1  # floor(log2(window length))
+    levels = [np.flatnonzero(level == p) for p in range(level.max() + 1)]
+
+    # 2. parametric search, from the best pair that rejects nothing
+    diag = np.arange(k)
+    lam = objective(diag, diag).min()
+    while True:
+        g = cfp_fp - lam * tp_fp
+        i = int(np.argmin(cfn_fn - lam * fn_tn + _window_min(g, r, levels)))
+        j = i + int(np.argmin(g[i : r[i] + 1]))
+        nxt = objective(i, j)
+        if not nxt < lam:
+            break
+        lam = nxt
+
+    # 3. exact decision. Two roundings separate a float objective from the
+    # exact ratio, so a pair whose float objective is <= lam has a ratio
+    # <= lam_hi, and its row's computed minimum errs by less than `slack`
+    # (a few roundings of the largest terms; both bounds hold with 4x to
+    # spare, and an overflow to -inf or inf only admits more rows)
+    with np.errstate(over="ignore"):
+        lam_hi = lam * (1.0 + 2.0**-50) + 2.0**-1070
+        g = cfp_fp - lam_hi * tp_fp
+        row_min = cfn_fn - lam_hi * fn_tn + _window_min(g, r, levels)
+        slack = 2.0**-50 * (cfn_fn[-1] + cfp_fp[0] + lam_hi * total) + 2.0**-1060
+    rows = np.flatnonzero(row_min <= slack)
+    lengths = r[rows] - rows + 1
+    ends = np.cumsum(lengths)
+    # running best (objective, rej, width, t1, t2); the pair that set lam is
+    # enumerated, so the objective ends finite
     best_key: tuple = (np.inf,)
-    for start in range(0, n_cells, _PAIR_CELLS):
-        cell = np.arange(start, min(start + _PAIR_CELLS, n_cells))
-        i, d = np.divmod(cell, width)
-        j = i + d
-        inside = j < k
-        i, j = i[inside], j[inside]
-        classified = fn_tn[i] + tp[j] + fp[j]
-        rej = (total - classified) / total
-        feasible = (rej <= k_max) & (classified >= 1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            objective = np.where(feasible, (cfn_fn[i] + cfp_fp[j]) / classified, np.inf)
-        obj = objective.min(initial=np.inf)
+    for start in range(0, int(ends[-1]), _PAIR_CELLS):
+        cell = np.arange(start, min(start + _PAIR_CELLS, int(ends[-1])))
+        at = np.searchsorted(ends, cell, side="right")
+        i = rows[at]
+        j = i + cell - (ends[at] - lengths[at])
+        obj_cells = objective(i, j)
+        obj = obj_cells.min()
         if obj > best_key[0]:
             continue
-        tie = np.flatnonzero(objective == obj)
+        tie = np.flatnonzero(obj_cells == obj)
+        i, j = i[tie], j[tie]
+        rej = (total - (fn_tn[i] + tp_fp[j])) / total
+        tie = np.flatnonzero(rej == rej.min())  # sort only the cells that can win
         t1, t2 = cands[i[tie]], cands[j[tie]]
-        width_tie = _width(t1, t2)
-        w = int(np.lexsort((t2, t1, width_tie, rej[tie]))[0])
-        key = (float(obj), float(rej[tie[w]]), float(width_tie[w]), float(t1[w]), float(t2[w]))
+        width = _width(t1, t2)
+        w = int(np.lexsort((t2, t1, width))[0])
+        key = (float(obj), float(rej[tie[w]]), float(width[w]), float(t1[w]), float(t2[w]))
         best_key = min(best_key, key)
     best_obj, _, _, t1_best, t2_best = best_key
     pair = ThresholdPair(t1_best, t2_best)

@@ -169,7 +169,10 @@ def cmd_baseline(args) -> int:
         if not (0.0 <= args.cfn < math.inf and 0.0 <= args.cfp < math.inf):
             raise UsageError("--cfn and --cfp must be finite and non-negative")
         data = _load_dataset(args.scores)
-        res = ba_optimize(data, args.kmax, cfn=args.cfn, cfp=args.cfp)
+        try:  # the costs can still overflow against this file's class counts
+            res = ba_optimize(data, args.kmax, cfn=args.cfn, cfp=args.cfp)
+        except ValueError as e:
+            raise UsageError(str(e)) from None
         doc = {
             "metadata": {
                 "model": "ba",
@@ -276,6 +279,9 @@ def _prior_weighted(m: EssentialMetrics, priors: ClassPriors) -> EssentialMetric
 def cmd_select(args) -> int:
     if args.p_pos is not None and not 0.0 < args.p_pos < 1.0:
         raise UsageError("--p-pos must lie in (0,1)")
+    for flag, cap in (("--cap", args.cap), ("--p-cap", args.p_cap), ("--n-cap", args.n_cap)):
+        if cap is not None and not 0.0 <= cap <= 1.0:  # also rejects NaN
+            raise UsageError(f"{flag} must lie in [0,1], got {cap}")
     try:
         with open(args.pareto, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -168,6 +168,9 @@ tied_examples = st.integers(2, 40).flatmap(
 
 _MAX = float(np.finfo(np.float64).max)
 
+# zero, non-dyadic decimals (float ties differ from exact ones) and a range
+ba_costs = st.one_of(st.sampled_from([0.0, 0.1, 0.3, 0.7]), st.floats(0.01, 10.0))
+
 
 def extreme_scores(base, steps, mode):
     """Scores at a huge magnitude: adjacent floats, or a spread of multiples."""
@@ -449,9 +452,17 @@ class TestBaOptimize:
     @given(
         tied_examples,
         st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-        st.floats(0.01, 10.0),
-        st.floats(0.01, 10.0),
+        ba_costs,
+        ba_costs,
         st.integers(1, 16),
+    )
+    @example(  # (0.1*2)/4 == 0.05 < (0.1*3)/6 in float, an exact tie at 1/20 that the
+        # smaller reject rate of (-2.125, -2.125) would win; the float objective decides
+        ([1, 0, 2, 2, 6, 5], [True, True, False, True, False, True], [-1.125, 2.625, 3.5]),
+        0.5,
+        0.1,
+        0.1,
+        3,
     )
     @example(  # equal objective: the smaller reject rate wins over the narrower band
         (
@@ -483,6 +494,37 @@ class TestBaOptimize:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20  # the dense k x k search peaks near 1 GB here
+
+    @pytest.mark.parametrize("case", ["zero_costs", "separated"])
+    def test_memory_stays_bounded_when_the_whole_band_ties(self, case):
+        # every pair within the budget ties at objective 0 (or every row holds
+        # one that does), so the exact decision enumerates the whole band
+        if case == "zero_costs":
+            data = synth_two_gaussian(2500, 2500, 1, -1, 1, seed=16)
+            costs = (0.0, 0.0)
+            t = float(data.scores.min()) - 1.0  # rejects nothing; the smallest cut
+        else:
+            data = ScoredDataset(np.arange(5000.0), [-1] * 2500 + [1] * 2500)
+            costs = (1.0, 1.0)
+            t = 2499.5  # the one cut between the classes
+        tracemalloc.start()
+        try:
+            res = ba_optimize(data, 0.25, *costs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res == BaResult(ThresholdPair(t, t), objective=0.0, rej=0.0, rpr=0.0, rnr=0.0)
+        assert peak < 64 * 2**20
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_costs_rejected(self):
+        # (cfn*n_pos + cfp*n_neg)*n overflows; this used to warn and crash
+        data = synth_two_gaussian(100, 100, 0.5, -0.5, 1.0, seed=1)
+        with pytest.raises(ValueError, match="too large"):
+            ba_optimize(data, 0.2, 1e308, 1e308)
+        with pytest.raises(ValueError, match="too large"):
+            ba_optimize(data, 0.2, 0.0, _MAX / 100)
+        ba_optimize(data, 0.2, 0.0, _MAX / 400 / 100)  # finite, near the bound
 
 
 def _reject_counts(data, t):

@@ -176,6 +176,18 @@ class TestBaseline:
         assert not out.exists()
         assert "finite and non-negative" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_ba_overflowing_costs_are_usage_error(self, scores_csv, tmp_path, capsys):
+        # (cfn*n_pos + cfp*n_neg)*n overflows: this used to warn and then exit 2
+        out = tmp_path / "ba"
+        code = run(
+            "baseline", "--scores", scores_csv, "--model", "ba", "--kmax", "0.2",
+            "--cfn", "1e308", "--cfp", "1e308", "--out", str(out),
+        )
+        assert code == 1
+        assert not out.exists()
+        assert "too large" in capsys.readouterr().err
+
     def test_ba_needs_kmax(self, scores_csv, tmp_path):
         code = run("baseline", "--scores", scores_csv, "--model", "ba", "--out", str(tmp_path / "o"))
         assert code == 1
@@ -371,12 +383,29 @@ class TestSelect:
         # both selections come from the same frozen Pareto file
         assert outs[0]["solution"] != outs[1]["solution"] or outs[0] != outs[1]
 
-    def test_empty_eligible_exit_code(self, pareto_json, tmp_path):
+    def test_empty_eligible_exit_code(self, tmp_path):
+        doc = fully_rejected_doc()
+        del doc["solutions"][1]  # the record left rejects 6 of 10 examples
+        path = tmp_path / "pareto.json"
+        path.write_text(json.dumps(doc))
         code = run(
-            "select", "--pareto", pareto_json, "--mode", "best-metric",
-            "--metric", "acc", "--cap", "-0.5", "--out", str(tmp_path / "x"),
+            "select", "--pareto", str(path), "--mode", "best-metric",
+            "--metric", "acc", "--cap", "0.5", "--out", str(tmp_path / "x"),
         )
         assert code == 3
+
+    @pytest.mark.parametrize("flag", ["--cap", "--p-cap", "--n-cap"])
+    @pytest.mark.parametrize("value", ["nan", "-0.5", "1.5", "inf"])
+    def test_cap_outside_unit_interval_is_usage_error(self, flag, value, tmp_path, capsys):
+        # checked before the Pareto file is read: a missing file would exit 2
+        out = tmp_path / "x"
+        code = run(
+            "select", "--pareto", str(tmp_path / "missing.json"), "--mode", "best-metric",
+            "--metric", "acc", flag, value, "--out", str(out),
+        )
+        assert code == 1
+        assert not out.exists()
+        assert f"{flag} must lie in [0,1]" in capsys.readouterr().err
 
     def test_fully_rejected_class_record(self, tmp_path):
         # baseline writes fpr = null when every negative is rejected
