@@ -258,12 +258,12 @@ def ba_optimize(
     rej_by_count = (total - np.arange(total + 1.0)) / total
     c_min = total + 1 - np.searchsorted(rej_by_count[::-1], k_max, side="right")
     r = np.searchsorted(-tp_fp, fn_tn - c_min, side="right") - 1  # r(i) >= i
-    level = np.frexp(r - np.arange(k) + 1.0)[1] - 1  # floor(log2(window length))
+    cuts = np.arange(k)
+    level = np.frexp(r - cuts + 1.0)[1] - 1  # floor(log2(window length))
     levels = [np.flatnonzero(level == p) for p in range(level.max() + 1)]
 
     # 2. parametric search, from the best pair that rejects nothing
-    diag = np.arange(k)
-    lam = objective(diag, diag).min()
+    lam = objective(cuts, cuts).min()
     while True:
         g = cfp_fp - lam * tp_fp
         i = int(np.argmin(cfn_fn - lam * fn_tn + _window_min(g, r, levels)))
@@ -286,11 +286,12 @@ def ba_optimize(
     rows = np.flatnonzero(row_min <= slack)
     lengths = r[rows] - rows + 1
     ends = np.cumsum(lengths)
+    n_cells = int(ends[-1])
     # running best (objective, rej, width, t1, t2); the pair that set lam is
     # enumerated, so the objective ends finite
     best_key: tuple = (np.inf,)
-    for start in range(0, int(ends[-1]), _PAIR_CELLS):
-        cell = np.arange(start, min(start + _PAIR_CELLS, int(ends[-1])))
+    for start in range(0, n_cells, _PAIR_CELLS):
+        cell = np.arange(start, min(start + _PAIR_CELLS, n_cells))
         at = np.searchsorted(ends, cell, side="right")
         i = rows[at]
         j = i + cell - (ends[at] - lengths[at])
@@ -301,11 +302,11 @@ def ba_optimize(
         tie = np.flatnonzero(obj_cells == obj)
         i, j = i[tie], j[tie]
         rej = (total - (fn_tn[i] + tp_fp[j])) / total
-        tie = np.flatnonzero(rej == rej.min())  # sort only the cells that can win
-        t1, t2 = cands[i[tie]], cands[j[tie]]
+        low = rej == rej.min()  # only these can win, so only these are sorted
+        t1, t2, rej = cands[i[low]], cands[j[low]], rej[low]
         width = _width(t1, t2)
         w = int(np.lexsort((t2, t1, width))[0])
-        key = (float(obj), float(rej[tie[w]]), float(width[w]), float(t1[w]), float(t2[w]))
+        key = (float(obj), float(rej[w]), float(width[w]), float(t1[w]), float(t2[w]))
         best_key = min(best_key, key)
     best_obj, _, _, t1_best, t2_best = best_key
     pair = ThresholdPair(t1_best, t2_best)
