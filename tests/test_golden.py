@@ -44,6 +44,16 @@ CASES = {
         ["baseline", "--model", "ba", "--kmax", "0.25", "--cfn", "0.1", "--cfp", "3"],
         "baseline.json",
     ),
+    "baseline_tortorella.json": (  # the reject option is activated
+        ["baseline", "--model", "tortorella", "--ctp", "-2", "--ctn", "-2", "--cfp", "40",
+         "--cfn", "40", "--crp", "1", "--crn", "1"],
+        "baseline.json",
+    ),
+    "baseline_tortorella_single.json": (  # not activated: one threshold, t1 = t2
+        ["baseline", "--model", "tortorella", "--ctp", "0", "--ctn", "0", "--cfp", "10",
+         "--cfn", "10", "--crp", "9", "--crn", "9"],
+        "baseline.json",
+    ),
     "selection_min_cost.json": (
         ["select", "--pareto", PARETO, "--mode", "min-cost", "--ctp", "-2", "--ctn", "-2",
          "--cfp", "30", "--cfn", "40", "--crp", "2", "--crn", "2"],
