@@ -15,11 +15,14 @@ valid = ro.synth_two_gaussian(n_pos=80, n_neg=120, mu_pos=0.8, mu_neg=-0.8,
 priors = ro.empirical_priors(valid)
 print(f"tuning set priors: p(+) = {priors.p_pos:.3f}, p(-) = {priors.p_neg:.3f}")
 
-# The ROC convex hull keeps only the operating points worth using.
-points = ro.roc_points(valid)
-hull = ro.rocch(points)
-print(f"\nROC: {len(points)} raw operating points, {len(hull)} hull vertices")
-print("hull (fpr, tpr):", ", ".join(f"({p.fpr:.2f},{p.tpr:.2f})" for p in hull))
+# The ROC convex hull keeps only the operating points worth using. The
+# points come as false- and true-positive counts with their cuts, and the
+# hull as indices of its vertices, found exactly on those counts.
+fp, tp, cuts = ro.roc_points(valid)
+hull = ro.rocch(fp, tp)
+print(f"\nROC: {fp.size} raw operating points, {hull.size} hull vertices")
+fpr, tpr = fp[hull] / valid.n_neg, tp[hull] / valid.n_pos
+print("hull (fpr, tpr):", ", ".join(f"({x:.2f},{y:.2f})" for x, y in zip(fpr, tpr)))
 
 # A cost matrix where mistakes are expensive relative to rejection: the
 # activation inequality holds, so abstention can lower the expected cost.

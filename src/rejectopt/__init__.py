@@ -12,7 +12,6 @@ curve sweeps are included.
 from .baselines import (
     ActivationCheck,
     BaResult,
-    RocPoint,
     TortorellaResult,
     ba_optimize,
     candidate_thresholds,

@@ -6,6 +6,13 @@ consecutive distinct scores plus below-min/above-max sentinels), which reach
 every achievable confusion matrix on a finite tuning set. The hull model
 evaluates all ordered hull-vertex pairs in one confusion-kernel call.
 
+The ROC points are integer arrays of false- and true-positive counts, and
+the hull is exact: its turns are decided by integer cross products of
+count differences, so a point collinear with two others in counts is never
+kept as a vertex, as it can be when rates are compared in float. Vectorized
+passes drop points under the chord of their neighbours in O(k) total work,
+and a monotone chain finishes on what is left.
+
 The bounded-abstention model is a ratio objective over a window of upper
 cuts per lower cut. A parametric search (Dinkelbach) finds the optimum
 ratio from window minima of a sparse table in O(k log k) time; an exact
@@ -39,15 +46,6 @@ def _width(t1s: np.ndarray, t2s: np.ndarray) -> np.ndarray:
     """Tie key t2 - t1, exactly 0 where t1 == t2 (an infinite sentinel cut
     used as both thresholds would otherwise give inf - inf = nan)."""
     return np.subtract(t2s, t1s, out=np.zeros(np.shape(t1s)), where=t1s != t2s)
-
-
-@dataclass(frozen=True)
-class RocPoint:
-    """One operating point: among-all rates at a single score cut."""
-
-    fpr: float
-    tpr: float
-    threshold: float
 
 
 @dataclass(frozen=True)
@@ -94,36 +92,71 @@ def candidate_thresholds(data: ScoredDataset) -> np.ndarray:
     return np.concatenate(([below], mids, [above]))
 
 
-def roc_points(valid: ScoredDataset) -> list[RocPoint]:
-    """All achievable single-threshold operating points, fpr ascending.
+def roc_points(valid: ScoredDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All achievable single-threshold operating points as ``(fp, tp, cuts)``:
+    the false- and true-positive counts (int64) at each candidate cut.
 
     A cut classifies positive iff score > cut, so descending cuts trace
-    the curve from (0,0) (above-max sentinel) to (1,1) (below-min).
+    the curve from (0, 0) (above-max sentinel) to (n_neg, n_pos)
+    (below-min), and the points come lexicographically ascending in
+    ``(fp, tp)``. The rates are ``fp / n_neg`` and ``tp / n_pos``.
     """
     valid.require_both_classes()
-    cands = candidate_thresholds(valid)[::-1]
-    tp, _, _, fp, _, _ = confusion_counts(valid, cands, cands)
-    tprs = (tp / valid.n_pos).tolist()
-    fprs = (fp / valid.n_neg).tolist()
-    return [
-        RocPoint(fpr=fpr, tpr=tpr, threshold=c)
-        for fpr, tpr, c in zip(fprs, tprs, cands.tolist())
-    ]
+    cuts = candidate_thresholds(valid)[::-1]
+    tp, _, _, fp, _, _ = confusion_counts(valid, cuts, cuts)
+    return fp, tp, cuts
 
 
-def _cross(o: RocPoint, a: RocPoint, b: RocPoint) -> float:
-    return (a.fpr - o.fpr) * (b.tpr - o.tpr) - (a.tpr - o.tpr) * (b.fpr - o.fpr)
+def _drop_below_chords(fp: np.ndarray, tp: np.ndarray) -> np.ndarray:
+    """Indices left after vectorized passes that each drop every interior
+    point on or below the chord of its current neighbours; such a point is
+    never a hull vertex, so dropping many at once is sound. The passes stop
+    after one that drops less than a quarter of the interior, so their work
+    is at most about four passes over all points."""
+    keep = np.arange(fp.size)
+    while keep.size > 2:
+        dx, dy = np.diff(fp[keep]), np.diff(tp[keep])
+        # cross product of the edges into and out of each interior point;
+        # exact in int64 while the counts stay below 2**31
+        on_or_below = dx[:-1] * dy[1:] - dy[:-1] * dx[1:] >= 0
+        keep = np.concatenate((keep[:1], keep[1:-1][~on_or_below], keep[-1:]))
+        if 4 * np.count_nonzero(on_or_below) < on_or_below.size:
+            break
+    return keep
 
 
-def rocch(points: list[RocPoint]) -> list[RocPoint]:
-    """Upper convex hull in ROC space; collinear interior points dropped."""
-    pts = sorted(points, key=lambda p: (p.fpr, p.tpr))
-    hull: list[RocPoint] = []
-    for p in pts:
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) >= 0.0:
-            hull.pop()
-        hull.append(p)
-    return hull
+def rocch(fp: np.ndarray, tp: np.ndarray) -> np.ndarray:
+    """Indices of the upper convex hull's vertices, ascending, for points
+    given lexicographically ascending in integer counts ``(fp, tp)``.
+
+    The hull is exact: points on a hull edge (collinear) are not vertices,
+    and every turn is decided by the integer cross product of count
+    differences. Rates divide each axis by a positive class size, which
+    scales that product by ``1 / (n_neg * n_pos)`` and keeps its sign; a
+    cross product of float rates can round to the wrong side of zero.
+    Vectorized passes (:func:`_drop_below_chords`) first remove most
+    non-vertices in O(k) total work; Andrew's monotone chain (IPL 1979)
+    finishes on the survivors.
+    """
+    fp = np.asarray(fp, dtype=np.int64)
+    tp = np.asarray(tp, dtype=np.int64)
+    dx, dy = np.diff(fp), np.diff(tp)
+    if not ((dx > 0) | ((dx == 0) & (dy >= 0))).all():
+        raise ValueError("points must be lexicographically ascending in (fp, tp)")
+    keep = _drop_below_chords(fp, tp)
+    hull: list[int] = []
+    xs: list[int] = []
+    ys: list[int] = []
+    for i, x, y in zip(keep.tolist(), fp[keep].tolist(), tp[keep].tolist()):
+        # pop while the last vertex lies on or below the chord to (x, y)
+        while len(hull) >= 2 and (
+            (xs[-1] - xs[-2]) * (y - ys[-1]) >= (ys[-1] - ys[-2]) * (x - xs[-1])
+        ):
+            del hull[-1], xs[-1], ys[-1]
+        hull.append(i)
+        xs.append(x)
+        ys.append(y)
+    return np.array(hull, dtype=np.intp)
 
 
 def check_reject_activation(costs: CostMatrix) -> ActivationCheck:
@@ -154,8 +187,8 @@ def tortorella_optimize(
     break by smaller reject rate, then band width, then (t1, t2).
     """
     valid.require_both_classes()
-    hull = rocch(roc_points(valid))
-    thresholds = np.array(sorted({p.threshold for p in hull}))
+    fp, tp, cuts = roc_points(valid)
+    thresholds = cuts[rocch(fp, tp)][::-1]  # ascending
     check = check_reject_activation(costs)
 
     if check.activated:

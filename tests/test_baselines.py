@@ -9,7 +9,6 @@ from rejectopt import baselines
 from rejectopt.baselines import (
     BaResult,
     TortorellaResult,
-    RocPoint,
     ba_optimize,
     candidate_thresholds,
     check_reject_activation,
@@ -115,18 +114,32 @@ def loop_roc_points(valid):
     """One binary search per candidate cut, descending."""
     pos = valid.pos_scores_sorted
     neg = valid.neg_scores_sorted
-    points = []
-    for c in candidate_thresholds(valid)[::-1]:
-        tpr = (pos.size - int(np.searchsorted(pos, c, side="right"))) / pos.size
-        fpr = (neg.size - int(np.searchsorted(neg, c, side="right"))) / neg.size
-        points.append(RocPoint(fpr=fpr, tpr=tpr, threshold=float(c)))
-    return points
+    cuts = candidate_thresholds(valid)[::-1]
+    fp = [neg.size - int(np.searchsorted(neg, c, side="right")) for c in cuts]
+    tp = [pos.size - int(np.searchsorted(pos, c, side="right")) for c in cuts]
+    return fp, tp, cuts.tolist()
+
+
+def brute_hull(fp, tp):
+    """Independent exact oracle over Python ints: a point is a hull vertex
+    iff it lies strictly above every segment joining an earlier point to a
+    later one (lexicographic order), so the two ends always are."""
+    pts = list(zip(map(int, fp), map(int, tp)))
+
+    def strictly_above(a, q, b):
+        return (b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0]) > 0
+
+    return [
+        i
+        for i, q in enumerate(pts)
+        if all(strictly_above(a, q, b) for a in pts[:i] for b in pts[i + 1 :])
+    ]
 
 
 def loop_tortorella(valid, costs, priors):
     """Per-pair scalar evaluation over the hull thresholds, keyed tuples."""
-    hull = rocch(roc_points(valid))
-    thresholds = sorted({p.threshold for p in hull})
+    fp, tp, cuts = roc_points(valid)
+    thresholds = sorted(cuts[rocch(fp, tp)].tolist())
     check = check_reject_activation(costs)
     if check.activated:
         pairs = [(t1, t2) for i, t1 in enumerate(thresholds) for t2 in thresholds[i:]]
@@ -188,33 +201,37 @@ def extreme_scores(base, steps, mode):
     return out
 
 
+def counts(points):
+    fp, tp, _ = points
+    return list(zip(fp.tolist(), tp.tolist()))
+
+
 class TestRocPoints:
     def test_two_example_points(self):
         data = make_dataset([(0.9, 1), (0.1, -1)])
-        pts = roc_points(data)
-        assert [(p.fpr, p.tpr) for p in pts] == [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+        assert counts(roc_points(data)) == [(0, 0), (0, 1), (1, 1)]
 
     def test_perfect_ranking_hull_through_corner(self):
         data = make_dataset([(0.9, 1), (0.8, 1), (0.2, -1), (0.1, -1)])
-        hull = rocch(roc_points(data))
-        assert (0.0, 1.0) in [(p.fpr, p.tpr) for p in hull]
+        fp, tp, _ = roc_points(data)
+        hull = rocch(fp, tp)
+        assert (0, 2) in zip(fp[hull].tolist(), tp[hull].tolist())
 
     def test_degenerate_single_score(self):
         data = make_dataset([(0.5, 1), (0.5, 1), (0.5, -1)])
-        pts = roc_points(data)
-        assert [(p.fpr, p.tpr) for p in pts] == [(0.0, 0.0), (1.0, 1.0)]
+        assert counts(roc_points(data)) == [(0, 0), (1, 2)]
 
     def test_fpr_ascending(self):
         data = synth_two_gaussian(20, 30, 0.7, -0.7, 1.0, seed=0)
-        pts = roc_points(data)
-        fprs = [p.fpr for p in pts]
-        assert fprs == sorted(fprs)
+        pts = counts(roc_points(data))
+        assert pts == sorted(pts)  # lexicographically, so fp ascending
 
     @settings(max_examples=200, deadline=None)
     @given(tied_examples)
     def test_matches_loop_oracle(self, example_lists):
         data = tied_dataset(*example_lists)
-        assert roc_points(data) == loop_roc_points(data)
+        fp, tp, cuts = roc_points(data)
+        assert (fp.tolist(), tp.tolist(), cuts.tolist()) == loop_roc_points(data)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -236,11 +253,12 @@ class TestRocPoints:
         assert cands.size == s.size + 1
         assert cands[0] < s[0] and cands[-1] >= s[-1]
         assert np.all((s[:-1] <= cands[1:-1]) & (cands[1:-1] < s[1:]))
-        pts = roc_points(data)
-        assert len(pts) == s.size + 1
-        assert (pts[0].fpr, pts[0].tpr) == (0.0, 0.0)
-        assert (pts[-1].fpr, pts[-1].tpr) == (1.0, 1.0)
-        assert pts == loop_roc_points(data)
+        fp, tp, cuts = roc_points(data)
+        assert fp.size == s.size + 1
+        assert (fp[0], tp[0]) == (0, 0)
+        assert (fp[-1], tp[-1]) == (data.n_neg, data.n_pos)
+        assert (fp.tolist(), tp.tolist(), cuts.tolist()) == loop_roc_points(data)
+        assert rocch(fp, tp).tolist() == brute_hull(fp, tp)
 
     def test_ordinary_cuts_unchanged(self):
         data = synth_two_gaussian(30, 30, 0.5, -0.5, 1.0, seed=4)
@@ -249,61 +267,94 @@ class TestRocPoints:
         assert candidate_thresholds(data).tobytes() == expected.tobytes()
 
 
+def rates(data):
+    """Hull vertex rates (fpr, tpr) and every point's rates."""
+    fp, tp, _ = roc_points(data)
+    fpr, tpr = fp / data.n_neg, tp / data.n_pos
+    hull = rocch(fp, tp)
+    return fpr[hull].tolist(), tpr[hull].tolist(), list(zip(fpr.tolist(), tpr.tolist()))
+
+
 class TestRocch:
+    # the hand-built cases are the rate points of a 10-example class pair, in counts
+
     def test_interior_point_below_chord_dropped(self):
-        pts = [
-            RocPoint(0.0, 0.0, 3.0),
-            RocPoint(0.5, 0.4, 1.0),
-            RocPoint(0.2, 0.8, 2.0),
-            RocPoint(1.0, 1.0, 0.0),
-        ]
-        hull = rocch(pts)
-        assert [(p.fpr, p.tpr) for p in hull] == [(0.0, 0.0), (0.2, 0.8), (1.0, 1.0)]
+        fp, tp = [0, 2, 5, 10], [0, 8, 4, 10]
+        assert rocch(fp, tp).tolist() == [0, 1, 3]
 
     def test_collinear_interior_dropped(self):
-        pts = [
-            RocPoint(0.0, 0.0, 3.0),
-            RocPoint(0.5, 0.5, 2.0),
-            RocPoint(1.0, 1.0, 1.0),
-        ]
-        hull = rocch(pts)
-        assert [(p.fpr, p.tpr) for p in hull] == [(0.0, 0.0), (1.0, 1.0)]
+        assert rocch([0, 5, 10], [0, 5, 10]).tolist() == [0, 2]
 
     def test_idempotent_on_convex_input(self):
-        pts = [
-            RocPoint(0.0, 0.0, 4.0),
-            RocPoint(0.1, 0.6, 3.0),
-            RocPoint(0.4, 0.9, 2.0),
-            RocPoint(1.0, 1.0, 1.0),
-        ]
-        assert rocch(pts) == pts
-        assert rocch(rocch(pts)) == rocch(pts)
+        fp, tp = np.array([0, 1, 4, 10]), np.array([0, 6, 9, 10])
+        hull = rocch(fp, tp)
+        assert hull.tolist() == [0, 1, 2, 3]
+        assert rocch(fp[hull], tp[hull]).tolist() == hull.tolist()
+
+    def test_unsorted_points_rejected(self):
+        with pytest.raises(ValueError, match="lexicographically ascending"):
+            rocch([0, 5, 2, 10], [0, 4, 8, 10])
+        with pytest.raises(ValueError, match="lexicographically ascending"):
+            rocch([0, 0, 1], [2, 1, 3])  # equal fp, descending tp
 
     def test_hull_dominates_raw_points(self):
-        data = synth_two_gaussian(40, 40, 0.6, -0.6, 1.0, seed=2)
-        pts = roc_points(data)
-        hull = rocch(pts)
-        xs = [p.fpr for p in hull]
-        ys = [p.tpr for p in hull]
-        for p in pts:
-            # hull interpolation at p.fpr
+        xs, ys, pts = rates(synth_two_gaussian(40, 40, 0.6, -0.6, 1.0, seed=2))
+        for px, py in pts:
+            # hull interpolation at px
             y = max(
-                ys[i] + (ys[i + 1] - ys[i]) * (p.fpr - xs[i]) / (xs[i + 1] - xs[i])
+                ys[i] + (ys[i + 1] - ys[i]) * (px - xs[i]) / (xs[i + 1] - xs[i])
                 if xs[i + 1] > xs[i]
                 else max(ys[i], ys[i + 1])
-                for i in range(len(hull) - 1)
-                if xs[i] <= p.fpr <= xs[i + 1]
+                for i in range(len(xs) - 1)
+                if xs[i] <= px <= xs[i + 1]
             )
-            assert p.tpr <= y + 1e-12
+            assert py <= y + 1e-12
 
     def test_hull_slopes_nonincreasing(self):
-        data = synth_two_gaussian(35, 45, 0.6, -0.6, 1.0, seed=3)
-        hull = rocch(roc_points(data))
+        xs, ys, _ = rates(synth_two_gaussian(35, 45, 0.6, -0.6, 1.0, seed=3))
         slopes = []
-        for a, b in zip(hull, hull[1:]):
-            dx = b.fpr - a.fpr
-            slopes.append(float("inf") if dx == 0 else (b.tpr - a.tpr) / dx)
+        for (ax, ay), (bx, by) in zip(zip(xs, ys), zip(xs[1:], ys[1:])):
+            dx = bx - ax
+            slopes.append(float("inf") if dx == 0 else (by - ay) / dx)
         assert all(s1 >= s2 - 1e-12 for s1, s2 in zip(slopes, slopes[1:]))
+
+    def test_collinear_counts_dropped_where_float_rates_round(self):
+        # (1,2), (2,3), (3,4) are collinear in counts; the rates 1/3 and 2/3
+        # round, and a float cross product kept the middle one (cut 3.0)
+        data = ScoredDataset([5, 5, 1, 4, 5, 2, 4], [1, 1, 1, 1, -1, -1, -1])
+        fp, tp, cuts = roc_points(data)
+        assert counts((fp, tp, cuts)) == [(0, 0), (1, 2), (2, 3), (3, 3), (3, 4)]
+        assert cuts[rocch(fp, tp)].tolist() == [6.0, 4.5, 0.0]
+
+    def test_exact_hull_of_large_input(self):
+        # a float-rate hull kept 44 vertices here, two of them collinear
+        fp, tp, _ = roc_points(synth_two_gaussian(2500, 2500, 1, -1, 1, seed=16))
+        assert rocch(fp, tp).size == 42
+
+    @pytest.mark.parametrize("m, r", [(12, 6), (1000, 500)])
+    def test_long_concave_staircase_finished_by_the_chain(self, m, r):
+        # rises of m, m-1, ..., 1, each followed by one step right, then a last
+        # rise to the line through the top corners of rises r-1 and r. Each
+        # pass can expose only the last top corner, so the passes stop by
+        # their bound with about m non-vertices left, and the chain removes
+        # them, down to the corner of rise r, collinear on the last hull edge
+        fp, tp = [0], [0]
+        for rise in range(m, 0, -1):
+            fp += [fp[-1], fp[-1] + 1]
+            tp += [tp[-1] + rise, tp[-1] + rise]
+        fp.append(m)
+        tp.append(tp[2 * r - 1] + (m - r + 1) ** 2)  # top corner of rise j: index 2j-1
+        expected = [0] + [2 * j - 1 for j in range(1, r)] + [2 * m + 1]
+        assert baselines._drop_below_chords(np.array(fp), np.array(tp)).size > m
+        assert rocch(fp, tp).tolist() == expected
+        if m < 20:
+            assert brute_hull(fp, tp) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_examples)
+    def test_matches_exact_oracle(self, example_lists):
+        fp, tp, _ = roc_points(tied_dataset(*example_lists))
+        assert rocch(fp, tp).tolist() == brute_hull(fp, tp)
 
 
 class TestRejectActivation:
@@ -371,7 +422,8 @@ class TestTortorella:
         priors = empirical_priors(data)
         res = tortorella_optimize(data, costs, priors)
         if res.activated:
-            hull_ths = sorted({p.threshold for p in rocch(roc_points(data))})
+            fp, tp, cuts = roc_points(data)
+            hull_ths = sorted(cuts[rocch(fp, tp)].tolist())
             for i, t1 in enumerate(hull_ths):
                 for t2 in hull_ths[i:]:
                     cost, _ = _cost_and_rej(data, t1, t2, costs, priors)
