@@ -36,12 +36,10 @@ from .harness import (
     CostModelSpec,
     CurvePoint,
     NoEligibleSolutionError,
-    SolutionEval,
     builtin_cost_models,
     cost_comparison_experiment,
     curve_sweep,
     default_sweep_grid,
-    evaluate_solutions,
     sample_cost_matrix,
     select_best_under_cap,
     select_min_cost,
@@ -53,6 +51,7 @@ from .metrics import (
     CostMatrix,
     EssentialMetrics,
     RejectionConfusion,
+    SolutionEval,
     ThresholdPair,
     classify_with_rejection,
     empirical_priors,
@@ -62,7 +61,6 @@ from .metrics import (
 from .moba import (
     EvolveResult,
     GenerationStats,
-    Individual,
     MobaConfig,
     NoFeasibleSolutionError,
     crowding_distance_assignment,

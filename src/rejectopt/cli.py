@@ -33,7 +33,6 @@ from .charts import line_chart_svg
 from .data import ScoredDataset, ScoresCsvError, SplitSpec, load_scored_csv, stratified_split
 from .harness import (
     NoEligibleSolutionError,
-    SolutionEval,
     builtin_cost_models,
     cost_comparison_experiment,
     curve_sweep,
@@ -47,9 +46,10 @@ from .metrics import (
     CostMatrix,
     EssentialMetrics,
     RejectionConfusion,
+    SolutionEval,
     ThresholdPair,
+    classify_with_rejection,
     empirical_priors,
-    essential_metrics,
     expected_cost,
 )
 from .moba import MobaConfig, NoFeasibleSolutionError, evolve, pareto_document, solution_record
@@ -154,7 +154,6 @@ def cmd_baseline(args) -> int:
                 "n_pos": data.n_pos,
                 "n_neg": data.n_neg,
             },
-            "solutions": [solution_record(data, res.thresholds)],
         }
         status = "activated" if res.activated else "not activated (t1 = t2)"
         summary = (
@@ -183,12 +182,13 @@ def cmd_baseline(args) -> int:
                 "n_pos": data.n_pos,
                 "n_neg": data.n_neg,
             },
-            "solutions": [solution_record(data, res.thresholds)],
         }
         summary = (
             f"ba: thresholds ({res.thresholds.t1:.6f}, {res.thresholds.t2:.6f}); "
             f"objective {res.objective:.6f}; rej {res.rej:.4f} (cap {args.kmax})"
         )
+    t = res.thresholds
+    doc["solutions"] = [solution_record(SolutionEval.from_counts(t, classify_with_rejection(data, t)))]
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "baseline.json"), doc)
     print(summary)
@@ -253,8 +253,9 @@ def cmd_curves(args) -> int:
 _COUNT_KEYS = tuple(f.name for f in fields(RejectionConfusion))
 
 
-def _read_record(rec, where: str) -> tuple[ThresholdPair, RejectionConfusion]:
-    """Thresholds and confusion counts of one exported solution record."""
+def _read_record(rec, where: str) -> SolutionEval:
+    """One exported solution record, scored from its confusion counts. Its
+    thresholds must be JSON numbers, not bools; baseline cuts can be ±Infinity."""
     counts = rec.get("counts") if isinstance(rec, dict) else None
     if not isinstance(counts, dict) or set(counts) != set(_COUNT_KEYS):
         raise ScoresCsvError(f"{where}: needs counts {{{', '.join(_COUNT_KEYS)}}}")
@@ -262,10 +263,16 @@ def _read_record(rec, where: str) -> tuple[ThresholdPair, RejectionConfusion]:
         if type(n) is not int or n < 0:  # also rejects bools, floats and strings
             raise ScoresCsvError(f"{where}: count {key} must be a non-negative integer, got {n!r}")
     try:
-        t = ThresholdPair(rec["t1"], rec["t2"])
-    except (KeyError, TypeError, ValueError) as e:
+        t1, t2 = rec["t1"], rec["t2"]
+        if type(t1) not in (int, float) or type(t2) not in (int, float):  # also rejects bools
+            raise TypeError(f"thresholds must be numbers, got {t1!r} and {t2!r}")
+        t = ThresholdPair(float(t1), float(t2))
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ScoresCsvError(f"{where}: bad thresholds: {e!r}") from None
-    return t, RejectionConfusion(**counts)
+    c = RejectionConfusion(**counts)
+    if c.n_pos < 1 or c.n_neg < 1:
+        raise ScoresCsvError(f"{where}: counts must cover both classes")
+    return SolutionEval.from_counts(t, c)
 
 
 def _prior_weighted(m: EssentialMetrics, priors: ClassPriors) -> EssentialMetrics:
@@ -294,16 +301,15 @@ def cmd_select(args) -> int:
     if not records:
         raise NoEligibleSolutionError("Pareto file contains no solutions")
 
-    read = [_read_record(rec, f"{args.pareto}: solution {k}") for k, rec in enumerate(records)]
-    n_pos = meta.get("n_pos", read[0][1].n_pos)
-    n_neg = meta.get("n_neg", read[0][1].n_neg)
-    for k, (_, c) in enumerate(read):
+    solutions = [_read_record(rec, f"{args.pareto}: solution {k}") for k, rec in enumerate(records)]
+    n_pos = meta.get("n_pos", solutions[0].counts.n_pos)
+    n_neg = meta.get("n_neg", solutions[0].counts.n_neg)
+    for k, c in enumerate(s.counts for s in solutions):
         if (c.n_pos, c.n_neg) != (n_pos, n_neg):
             raise ScoresCsvError(
                 f"{args.pareto}: solution {k}: counts cover {c.n_pos} positives and "
                 f"{c.n_neg} negatives, expected {n_pos} and {n_neg}"
             )
-    solutions = [SolutionEval(t, essential_metrics(c)) for t, c in read]
     if args.p_pos is None:
         priors = ClassPriors(n_pos / (n_pos + n_neg), n_neg / (n_pos + n_neg))
     else:

@@ -3,7 +3,8 @@ performance-rejection curve sweeps, plus the two best-classifier
 selection rules.
 
 Seed discipline: one master seed fans out to per-trial (or per-grid-point)
-children via ``numpy.random.SeedSequence(master).spawn(n)``; each child's
+children spawned one at a time from ``numpy.random.SeedSequence(master)``
+(the children of ``spawn(n)``, in order, without holding n at once); each child's
 ``generate_state(2)`` yields the cost-sampler seed and the optimizer seed.
 Trials are therefore independent and reproducible in any order.
 """
@@ -20,7 +21,7 @@ from .data import ScoredDataset
 from .metrics import (
     ClassPriors,
     CostMatrix,
-    EssentialMetrics,
+    SolutionEval,
     ThresholdPair,
     classify_with_rejection,
     empirical_priors,
@@ -87,14 +88,6 @@ class CurvePoint:
     observed_rej: float
 
 
-@dataclass(frozen=True)
-class SolutionEval:
-    """A threshold pair with its metrics on a fixed dataset."""
-
-    thresholds: ThresholdPair
-    metrics: EssentialMetrics
-
-
 def builtin_cost_models() -> dict[str, CostModelSpec]:
     """The four uniform cost models used by the comparison protocol."""
     base = dict(ctp=(-10.0, 0.0), ctn=(-10.0, 0.0), cfp=(0.0, 50.0), cfn=(0.0, 50.0))
@@ -134,15 +127,6 @@ def sample_cost_matrix(
         crp=draw(spec.crp),
         crn=draw(spec.crn),
     )
-
-
-def evaluate_solutions(
-    thresholds: list[ThresholdPair], data: ScoredDataset
-) -> list[SolutionEval]:
-    return [
-        SolutionEval(t, essential_metrics(classify_with_rejection(data, t)))
-        for t in thresholds
-    ]
 
 
 def select_min_cost(
@@ -198,9 +182,8 @@ def select_best_under_cap(
     return min(eligible, key=sort_key)
 
 
-def _cost_on(data: ScoredDataset, t: ThresholdPair, costs: CostMatrix) -> float:
-    m = essential_metrics(classify_with_rejection(data, t))
-    return expected_cost(m, empirical_priors(data), costs)
+def _cost_on(data: ScoredDataset, t: ThresholdPair, costs: CostMatrix, priors: ClassPriors) -> float:
+    return expected_cost(essential_metrics(classify_with_rejection(data, t)), priors, costs)
 
 
 def cost_comparison_experiment(
@@ -229,10 +212,11 @@ def cost_comparison_experiment(
     valid.require_both_classes()
     test.require_both_classes()
     priors_valid = empirical_priors(valid)
-    children = np.random.SeedSequence(seed).spawn(trials)
+    priors_test = empirical_priors(test)
+    seeds = np.random.SeedSequence(seed)
     lower = higher = identical = not_activated = no_feasible = 0
-    for child in children:
-        state = child.generate_state(2, np.uint64)
+    for _ in range(trials):
+        state = seeds.spawn(1)[0].generate_state(2, np.uint64)
         cost_rng = np.random.default_rng(int(state[0]))
         costs = sample_cost_matrix(spec, cost_rng, joint_correct=joint_correct)
         tort = tortorella_optimize(valid, costs, priors_valid)
@@ -247,10 +231,9 @@ def cost_comparison_experiment(
             identical += 1
             no_feasible += 1
             continue
-        solutions = evaluate_solutions([ind.thresholds for ind in result.pareto], valid)
-        best = select_min_cost(solutions, costs, priors_valid)
-        moba_cost = _cost_on(test, best.thresholds, costs)
-        tort_cost = _cost_on(test, tort.thresholds, costs)
+        best = select_min_cost(result.pareto, costs, priors_valid)
+        moba_cost = _cost_on(test, best.thresholds, costs, priors_test)
+        tort_cost = _cost_on(test, tort.thresholds, costs, priors_test)
         if moba_cost < tort_cost - _COST_TIE_TOL:
             lower += 1
         elif moba_cost > tort_cost + _COST_TIE_TOL:
@@ -308,18 +291,17 @@ def curve_sweep(
     valid.require_both_classes()
     test.require_both_classes()
     grid = default_sweep_grid() if grid is None else list(grid)
-    children = np.random.SeedSequence(seed).spawn(len(grid))
+    seeds = np.random.SeedSequence(seed)
     points: list[CurvePoint] = []
-    for k, child in zip(grid, children):
-        moba_seed = int(child.generate_state(1, np.uint64)[0])
+    for k in grid:
+        moba_seed = int(seeds.spawn(1)[0].generate_state(1, np.uint64)[0])
         cfg_k = replace(cfg, p_max=k, n_max=k, seed=moba_seed)
         try:
             result = evolve(valid, cfg_k)
         except NoFeasibleSolutionError:
             points.append(CurvePoint(k, "moba", None, None, None, math.nan))
         else:
-            solutions = evaluate_solutions([ind.thresholds for ind in result.pareto], valid)
-            best = select_best_under_cap(solutions, metric, max_rpr=k, max_rnr=k)
+            best = select_best_under_cap(result.pareto, metric, max_rpr=k, max_rnr=k)
             points.append(_curve_point(k, "moba", test, best.thresholds))
         ba = ba_optimize(valid, k)
         points.append(_curve_point(k, "ba", test, ba.thresholds))

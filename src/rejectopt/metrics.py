@@ -131,6 +131,25 @@ class EssentialMetrics:
     gmean: float | None
 
 
+@dataclass(frozen=True)
+class SolutionEval:
+    """A threshold pair scored on a fixed dataset: its confusion counts and
+    the metrics derived from them."""
+
+    thresholds: ThresholdPair
+    counts: RejectionConfusion
+    metrics: EssentialMetrics
+
+    @classmethod
+    def from_counts(cls, thresholds: ThresholdPair, counts: RejectionConfusion) -> "SolutionEval":
+        return cls(thresholds, counts, essential_metrics(counts))
+
+    @property
+    def objectives(self) -> tuple[float | None, float | None]:
+        """The optimizer's objectives (fpr, fnr), among-classified rates."""
+        return (self.metrics.fpr_cls, self.metrics.fnr_cls)
+
+
 def confusion_counts(data: ScoredDataset, t1s, t2s) -> tuple[np.ndarray, ...]:
     """Vectorized rejection rule: counts for many threshold pairs at once.
 

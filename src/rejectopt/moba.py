@@ -10,8 +10,8 @@ falls back to the parent.
 
 A generation works on parallel lists of Python floats — t1, t2, objective
 tuples, feasibility, rank and crowding — and each operator handles the
-whole generation in one call. :class:`Individual` records are built once,
-for the final population and Pareto set.
+whole generation in one call. Only the final Pareto set leaves the loop as
+:class:`~rejectopt.metrics.SolutionEval` objects, scored by one kernel call.
 
 Determinism contract: one seeded generator per run, consumed in a fixed
 order. Initialization draws come first. Then, for each generation of
@@ -49,7 +49,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import ScoredDataset
-from .metrics import ThresholdPair, classify_with_rejection, confusion_counts, essential_metrics
+from .metrics import RejectionConfusion, SolutionEval, ThresholdPair, confusion_counts
 
 Objectives = tuple[float, float]
 FrontSet = list[list[int]]  # fronts partition the population, best rank first
@@ -105,15 +105,6 @@ class MobaConfig:
             raise ValueError("seed must be non-negative")
 
 
-@dataclass
-class Individual:
-    thresholds: ThresholdPair
-    objectives: Objectives
-    feasible: bool
-    rank: int
-    crowding: float
-
-
 @dataclass(frozen=True)
 class GenerationStats:
     generation: int
@@ -124,8 +115,7 @@ class GenerationStats:
 
 @dataclass
 class EvolveResult:
-    population: list[Individual]
-    pareto: list[Individual]  # feasible members of the final first front
+    pareto: list[SolutionEval]  # feasible members of the final first front, population order
     generations: list[GenerationStats]
     config: MobaConfig
     crossover_fallbacks: int = 0  # mating pairs with a child that fell back
@@ -240,7 +230,7 @@ def tournament_selection(
     return winners
 
 
-def sbx_beta(u: float, eta_c: float) -> float:
+def _sbx_beta(u: float, eta_c: float) -> float:
     """Spread factor for one uniform draw u in (0,1)."""
     if u <= 0.5:
         return (2.0 * u) ** (1.0 / (eta_c + 1.0))
@@ -267,12 +257,12 @@ def sbx_crossover(
     for k, coin in enumerate(coins):
         if coin >= crossover_prob:
             continue
-        first = (sbx_beta(us[2 * k], eta_c), sbx_beta(us[2 * k + 1], eta_c))
+        first = (_sbx_beta(us[2 * k], eta_c), _sbx_beta(us[2 * k + 1], eta_c))
         for own, mate in ((2 * k, 2 * k + 1), (2 * k + 1, 2 * k)):
             b1, b2 = first
             for tries in range(_MAX_RETRIES + 1):
                 if tries:
-                    b1, b2 = sbx_beta(rng.random(), eta_c), sbx_beta(rng.random(), eta_c)
+                    b1, b2 = _sbx_beta(rng.random(), eta_c), _sbx_beta(rng.random(), eta_c)
                 x1 = 0.5 * ((1.0 - b1) * t1[own] + (1.0 + b1) * t1[mate])
                 x2 = 0.5 * ((1.0 - b2) * t2[own] + (1.0 + b2) * t2[mate])
                 if x1 < x2:
@@ -283,7 +273,7 @@ def sbx_crossover(
     return out1, out2, fell
 
 
-def mutation_delta(u: float, eta_m: float) -> float:
+def _mutation_delta(u: float, eta_m: float) -> float:
     """Polynomial-mutation perturbation for one uniform draw u in (0,1)."""
     if u < 0.5:
         return (2.0 * u) ** (1.0 / (eta_m + 1.0)) - 1.0
@@ -319,10 +309,10 @@ def polynomial_mutation(
                 u2 = rng.random() if m2 else u2
             x1, x2 = a, b
             if m1:
-                x1 = a + span * mutation_delta(u1, eta_m)
+                x1 = a + span * _mutation_delta(u1, eta_m)
                 x1 = lower if x1 < lower else upper if x1 > upper else x1
             if m2:
-                x2 = b + span * mutation_delta(u2, eta_m)
+                x2 = b + span * _mutation_delta(u2, eta_m)
                 x2 = lower if x2 < lower else upper if x2 > upper else x2
             if x1 < x2:
                 out1[i], out2[i] = x1, x2
@@ -391,9 +381,9 @@ def elite_preservation(
 
 
 def evolve(valid: ScoredDataset, cfg: MobaConfig) -> EvolveResult:
-    """Run the full generational loop and return population, Pareto set,
-    and per-generation diagnostics. Deterministic for a fixed config (see
-    the module docstring for the draw order).
+    """Run the full generational loop and return the Pareto set, scored on
+    ``valid``, and per-generation diagnostics. Deterministic for a fixed
+    config (see the module docstring for the draw order).
 
     Initialization and mutation range over the tuning set's score range
     (see :func:`resolve_bounds`).
@@ -433,21 +423,15 @@ def evolve(valid: ScoredDataset, cfg: MobaConfig) -> EvolveResult:
         c_objs, c_feas = evaluate_batch(c1, c2, valid, p_max, n_max)
         t1, t2, objs, feas = t1 + c1, t2 + c2, objs + c_objs, feas + c_feas
 
-    pop = [
-        Individual(ThresholdPair(a, b), o, f, r, c)
-        for a, b, o, f, r, c in zip(t1, t2, objs, feas, rank, crowding)
-    ]
-    pareto = [ind for ind in pop if ind.rank == 0 and ind.feasible]
-    if not pareto:
+    front = [(a, b) for a, b, r, f in zip(t1, t2, rank, feas) if r == 0 and f]
+    if not front:
         raise NoFeasibleSolutionError(cfg.p_max, cfg.n_max)
-    return EvolveResult(
-        population=pop,
-        pareto=pareto,
-        generations=stats,
-        config=cfg,
-        crossover_fallbacks=crossover_fallbacks,
-        mutation_fallbacks=mutation_fallbacks,
-    )
+    counts = zip(*(c.tolist() for c in confusion_counts(valid, *zip(*front))))
+    pareto = [
+        SolutionEval.from_counts(ThresholdPair(*t), RejectionConfusion(*c))
+        for t, c in zip(front, counts)
+    ]
+    return EvolveResult(pareto, stats, cfg, crossover_fallbacks, mutation_fallbacks)
 
 
 def hypervolume_2d(points: list[Objectives]) -> float:
@@ -462,29 +446,27 @@ def hypervolume_2d(points: list[Objectives]) -> float:
     return hv
 
 
-def solution_record(data: ScoredDataset, t: ThresholdPair, feasible: bool = True) -> dict:
-    """JSON-ready record of one threshold pair on ``data``: its rates and the
+def solution_record(s: SolutionEval) -> dict:
+    """JSON-ready record of one scored threshold pair: its rates and the
     confusion counts behind them. A fully rejected class has a null among-
     classified error rate (``None``), not the optimizer's death penalty."""
-    c = classify_with_rejection(data, t)
-    m = essential_metrics(c)
+    m = s.metrics
     return {
-        "t1": t.t1,
-        "t2": t.t2,
+        "t1": s.thresholds.t1,
+        "t2": s.thresholds.t2,
         "fpr": m.fpr_cls,
         "fnr": m.fnr_cls,
         "rpr": m.rpr,
         "rnr": m.rnr,
-        "feasible": feasible,
-        "counts": asdict(c),
+        "feasible": True,
+        "counts": asdict(s.counts),
     }
 
 
 def pareto_document(result: EvolveResult, valid: ScoredDataset) -> dict:
     """JSON-ready export of a run: solution records plus run metadata."""
     solutions = [
-        solution_record(valid, ind.thresholds, ind.feasible)
-        for ind in sorted(result.pareto, key=lambda i: i.thresholds.as_tuple())
+        solution_record(s) for s in sorted(result.pareto, key=lambda s: s.thresholds.as_tuple())
     ]
     cfg = result.config
     return {

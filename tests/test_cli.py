@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,11 +9,11 @@ from hypothesis import strategies as st
 
 from rejectopt.cli import _read_record, main
 from rejectopt.data import ScoredDataset, load_scored_csv, synth_two_gaussian, write_scored_csv
-from rejectopt.harness import SolutionEval
 from rejectopt.metrics import (
     ClassPriors,
     CostMatrix,
     RejectionConfusion,
+    SolutionEval,
     ThresholdPair,
     classify_with_rejection,
     essential_metrics,
@@ -449,6 +450,8 @@ class TestSelect:
             pytest.param(("solutions", 1, "counts", "tn"), None, "solution 1", id="null"),
             pytest.param(("solutions", 1, "counts", "tp"), 4, "solution 1", id="totals-differ"),
             pytest.param(("metadata", "n_neg"), 7, "solution 0", id="metadata-differs"),
+            pytest.param(("solutions", 1, "counts"), {"tp": 0, "fn": 0, "rp": 0, "fp": 3, "tn": 3,
+                                                       "rn": 0}, "solution 1", id="no-positives"),
         ],
     )
     def test_invalid_counts_are_data_errors(self, path, value, where, tmp_path, capsys):
@@ -464,6 +467,50 @@ class TestSelect:
         err = capsys.readouterr().err
         assert where in err and "Traceback" not in err
         assert not (tmp_path / "sel").exists()
+
+    @pytest.mark.parametrize(
+        "bad, edited",
+        [
+            pytest.param(("a", "b"), slice(None), id="strings"),
+            pytest.param((10**399, 10**400), slice(None), id="400-digit-integers"),
+            pytest.param((False, True), slice(None), id="bools"),
+            pytest.param(("a", "b"), slice(-1, None), id="one-string-record"),
+        ],
+    )
+    def test_non_numeric_thresholds_are_data_errors(
+        self, bad, edited, pareto_json, tmp_path, capsys
+    ):
+        doc = json.loads(Path(pareto_json).read_text())
+        assert len(doc["solutions"]) > 1
+        for rec in doc["solutions"][edited]:
+            rec["t1"], rec["t2"] = bad
+        path = tmp_path / "pareto.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "sel"
+        code = run(
+            "select", "--pareto", str(path), "--mode", "best-metric", "--metric", "acc",
+            "--out", str(out),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad thresholds" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_infinite_thresholds_are_valid(self, tmp_path):
+        # baseline writes an infinite sentinel cut at the extreme float scores
+        doc = fully_rejected_doc()
+        doc["solutions"][0]["t1"] = -math.inf
+        doc["solutions"][1]["t2"] = math.inf
+        path = tmp_path / "pareto.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "sel"
+        code = run(
+            "select", "--pareto", str(path), "--mode", "best-metric", "--metric", "auc",
+            "--out", str(out),
+        )
+        assert code == 0
+        chosen = json.loads((out / "selection.json").read_text())["solution"]
+        assert (chosen["t1"], chosen["t2"]) == (0.2, math.inf)
 
     def test_p_pos_weights_acc_rej_and_cost(self, pareto_json, scores_csv, tmp_path):
         p, q = 0.3, 0.7
@@ -515,11 +562,13 @@ class TestSelect:
         labels[0], labels[-1] = 1, -1
         data = ScoredDataset([level / 3 for level, _ in examples], labels)
         t = ThresholdPair(*sorted(c / 6 for c in cuts))
-        rec = json.loads(json.dumps(solution_record(data, t)))
-        thresholds, counts = _read_record(rec, "solution 0")
+        c = classify_with_rejection(data, t)
+        rec = json.loads(json.dumps(solution_record(SolutionEval.from_counts(t, c))))
+        read = _read_record(rec, "solution 0")
         expected = essential_metrics(classify_with_rejection(data, t))
-        assert thresholds == t
-        assert essential_metrics(counts) == expected
+        assert read.thresholds == t
+        assert read.counts == c
+        assert read.metrics == expected
         assert (rec["fpr"], rec["fnr"]) == (expected.fpr_cls, expected.fnr_cls)
 
     def test_requires_metric_in_best_metric_mode(self, pareto_json, tmp_path):

@@ -1,5 +1,5 @@
-"""Smoke test: the demos run in-process and the curves demo reproduces the
-committed ``demo-output/curves.csv`` byte for byte."""
+"""Smoke test: the demos and the README quickstart run in-process, and the
+curves demo reproduces the committed ``demo-output/curves.csv`` byte for byte."""
 
 import runpy
 from pathlib import Path
@@ -20,3 +20,13 @@ def test_demo_runs(name, tmp_path, monkeypatch, capsys):
     if name.startswith("04"):
         written = (tmp_path / "demo-output" / "curves.csv").read_bytes()
         assert written == (ROOT / "demo-output" / "curves.csv").read_bytes()
+
+
+def test_readme_quickstart_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {"__name__": "__main__"}
+    exec(compile(code, "README.md quickstart", "exec"), namespace)
+    assert capsys.readouterr().out
+    assert namespace["best"] in namespace["result"].pareto

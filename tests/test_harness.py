@@ -12,7 +12,6 @@ from rejectopt.harness import (
     cost_comparison_experiment,
     curve_sweep,
     default_sweep_grid,
-    evaluate_solutions,
     sample_cost_matrix,
     select_best_under_cap,
     select_min_cost,
@@ -104,8 +103,7 @@ class TestSelection:
     @staticmethod
     def solutions_on(valid):
         cfg = MobaConfig(p_max=0.15, n_max=0.15, popsize=12, gensize=25, seed=2)
-        result = evolve(valid, cfg)
-        return evaluate_solutions([i.thresholds for i in result.pareto], valid)
+        return evolve(valid, cfg).pareto
 
     def test_singleton(self, splits):
         valid, _ = splits
@@ -185,6 +183,30 @@ class TestCostComparisonExperiment:
         cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=8, gensize=8)
         counts = cost_comparison_experiment(valid, test, spec, 1, cfg, seed=0)
         assert counts == ComparisonCounts(lower=0, higher=0, identical=1, not_activated=1)
+
+    def test_one_seed_child_per_trial(self, splits, monkeypatch):
+        # children are spawned as the trials need them, not all before the first
+        import rejectopt.harness as harness
+
+        masters = []
+
+        class RecordedSeedSequence(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                masters.append(self)
+
+        spawned_at_trial = []
+
+        def sample(*args, **kwargs):
+            spawned_at_trial.append(masters[0].n_children_spawned)
+            return sample_cost_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(harness.np.random, "SeedSequence", RecordedSeedSequence)
+        monkeypatch.setattr(harness, "sample_cost_matrix", sample)
+        valid, test = splits
+        cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=8, gensize=4)
+        cost_comparison_experiment(valid, test, builtin_cost_models()["cm1"], 3, cfg, seed=0)
+        assert spawned_at_trial == [1, 2, 3]
 
     def test_trials_validated(self, splits):
         valid, test = splits

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from rejectopt.data import ScoredDataset, synth_two_gaussian
 from rejectopt.metrics import ThresholdPair, classify_with_rejection, essential_metrics
@@ -100,14 +102,14 @@ class TestEvolve:
     def test_vacuous_caps_all_feasible(self, valid):
         cfg = MobaConfig(p_max=1.0 - 1e-9, n_max=1.0 - 1e-9, popsize=12, gensize=10, seed=2)
         res = evolve(valid, cfg)
-        assert all(ind.feasible for ind in res.population)
+        assert res.generations[-1].feasible_count == cfg.popsize
 
     def test_deterministic(self, valid):
         cfg = MobaConfig(p_max=0.15, n_max=0.1, popsize=12, gensize=25, seed=5)
         a = evolve(valid, cfg)
         b = evolve(valid, cfg)
-        assert [i.thresholds for i in a.population] == [i.thresholds for i in b.population]
-        assert [i.objectives for i in a.pareto] == [i.objectives for i in b.pareto]
+        assert [s.thresholds for s in a.pareto] == [s.thresholds for s in b.pareto]
+        assert [s.counts for s in a.pareto] == [s.counts for s in b.pareto]
         assert a.generations == b.generations
 
     def test_output_feasibility_reevaluated(self, valid):
@@ -119,6 +121,39 @@ class TestEvolve:
             rp, rn = count_rejects(valid, t.t1, t.t2)
             assert rp / valid.n_pos <= cfg.p_max
             assert rn / valid.n_neg <= cfg.n_max
+
+    @seed(20261018)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 4), st.booleans()), min_size=2, max_size=40),
+        st.integers(2, 6),
+        st.integers(1, 10),
+        st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]),
+        st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_pareto_members_carry_their_counts(
+        self, examples, half_popsize, gensize, p_max, n_max, run_seed
+    ):
+        # tied scores on five levels; the first and last examples fix both
+        # classes and a non-degenerate score range
+        levels = [0, *(level for level, _ in examples[1:-1]), 4]
+        labels = [1, *(1 if is_pos else -1 for _, is_pos in examples[1:-1]), -1]
+        data = ScoredDataset([level / 4 for level in levels], labels)
+        cfg = MobaConfig(p_max, n_max, 2 * half_popsize, gensize, seed=run_seed)
+        try:
+            res = evolve(data, cfg)
+        except NoFeasibleSolutionError:
+            return
+        objs, feasible = evaluate_batch(
+            [s.thresholds.t1 for s in res.pareto], [s.thresholds.t2 for s in res.pareto],
+            data, p_max, n_max,
+        )
+        assert all(feasible)
+        for s, obj in zip(res.pareto, objs):
+            assert s.counts == classify_with_rejection(data, s.thresholds)
+            assert s.metrics == essential_metrics(s.counts)
+            assert s.objectives == obj
 
     def test_elitist_monotonicity(self, valid):
         cfg = MobaConfig(p_max=0.2, n_max=0.2, popsize=12, gensize=40, seed=8)

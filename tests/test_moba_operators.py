@@ -9,14 +9,14 @@ import rejectopt.moba as moba
 from rejectopt.data import ScoredDataset, synth_two_gaussian
 from rejectopt.moba import (
     MobaConfig,
+    _mutation_delta,
+    _sbx_beta,
     crowding_distance_assignment,
     elite_preservation,
     evolve,
     fast_nondominated_sort,
-    mutation_delta,
     polynomial_mutation,
     pop_initialization,
-    sbx_beta,
     sbx_crossover,
     tournament_selection,
 )
@@ -232,11 +232,11 @@ class TestTournamentSelection:
 
 class TestSbx:
     def test_beta_at_half_is_one(self):
-        assert sbx_beta(0.5, 20.0) == 1.0
+        assert _sbx_beta(0.5, 20.0) == 1.0
 
     def test_beta_quarter_eta20(self):
-        assert sbx_beta(0.25, 20.0) == pytest.approx(0.5 ** (1 / 21))
-        assert sbx_beta(0.25, 20.0) == pytest.approx(0.9675, abs=1e-4)
+        assert _sbx_beta(0.25, 20.0) == pytest.approx(0.5 ** (1 / 21))
+        assert _sbx_beta(0.25, 20.0) == pytest.approx(0.9675, abs=1e-4)
 
     def test_u_half_swaps_parents_exactly(self):
         # parents (0.123, 0.456) and (0.2, 0.9); crossover coin 0, u1 = u2 = 0.5
@@ -289,10 +289,10 @@ class TestSbx:
 
 class TestPolynomialMutation:
     def test_delta_at_half_is_zero(self):
-        assert mutation_delta(0.5, 20.0) == 0.0
+        assert _mutation_delta(0.5, 20.0) == 0.0
 
     def test_delta_at_zero_is_minus_one(self):
-        assert mutation_delta(0.0, 20.0) == -1.0
+        assert _mutation_delta(0.0, 20.0) == -1.0
 
     def test_u_half_is_identity(self):
         # both variables apply, both u = 0.5
