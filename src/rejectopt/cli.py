@@ -304,6 +304,11 @@ def cmd_select(args) -> int:
     solutions = [_read_record(rec, f"{args.pareto}: solution {k}") for k, rec in enumerate(records)]
     n_pos = meta.get("n_pos", solutions[0].counts.n_pos)
     n_neg = meta.get("n_neg", solutions[0].counts.n_neg)
+    for key, n in (("n_pos", n_pos), ("n_neg", n_neg)):
+        if type(n) is not int or n < 1:  # also rejects bools, floats and strings
+            raise ScoresCsvError(
+                f"{args.pareto}: metadata {key} must be a positive integer, got {n!r}"
+            )
     for k, c in enumerate(s.counts for s in solutions):
         if (c.n_pos, c.n_neg) != (n_pos, n_neg):
             raise ScoresCsvError(

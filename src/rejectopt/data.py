@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 import numpy as np
 
@@ -90,39 +90,81 @@ class SplitSpec:
 def load_scored_csv(path) -> ScoredDataset:
     """Read a scores CSV (header ``id,label,score``; label +1/-1) into a dataset.
 
-    Row order is preserved. Malformed rows are reported by data-row number
-    (the header line is not counted).
+    The file is UTF-8 with LF line endings and no quoting. The header line
+    is exactly ``id,label,score``. Every data row has exactly three fields;
+    the id is any text without a comma, the label is exactly ``+1`` or
+    ``-1``, and the score is any finite value Python's ``float()`` accepts,
+    including surrounding whitespace, underscores between digits and
+    non-ASCII digits. So a CR before the LF is allowed on a data row (it is
+    whitespace around the score) but not on the header. The final LF is
+    optional. Row order is preserved. Malformed rows are reported by
+    data-row number (the header line is not counted).
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    lines = text.split("\n")
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    text = raw.decode("utf-8")
+    if text.partition("\n")[0] != _CSV_HEADER:
+        raise ScoresCsvError(f"expected header '{_CSV_HEADER}' in {path}")
+    # Shape and labels are checked on the bytes: no byte of a multi-byte
+    # UTF-8 character equals ',' or LF, so byte positions split rows and
+    # fields exactly as the text does.
+    labels = _bulk_labels(np.frombuffer(raw, dtype=np.uint8)[len(_CSV_HEADER) + 1 :])
+    del raw
+    if labels is not None:
+        # Every row is id,label,score, so with the header's three cells first
+        # the scores are every third cell from the sixth on.
+        cells = text.replace("\n", ",").split(",")[5::3]
+        try:
+            scores = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+        except ValueError:
+            pass  # reported below with its row number
+        else:
+            if np.isfinite(scores).all():
+                return ScoredDataset(scores, labels)
+    _raise_first_bad_row(text)
+
+
+def _bulk_labels(body: np.ndarray) -> np.ndarray | None:
+    """Labels of ``body``'s rows, or None unless every row is ``id,±1,score``."""
+    ends = np.flatnonzero(body == ord("\n"))
+    if body.size and body[-1] != ord("\n"):
+        ends = np.append(ends, body.size)  # last row without its LF
+    commas = np.flatnonzero(body == ord(","))
+    if commas.size != 2 * ends.size:
+        return None
+    first, second = commas[0::2], commas[1::2]
+    # With two commas per row in all, every row holds exactly two iff the
+    # k-th pair of commas lies in row k.
+    if not ((second < ends).all() and (first[1:] > ends[:-1]).all()):
+        return None
+    if not (second - first == 3).all():
+        return None
+    sign, one = body[first + 1], body[first + 2]
+    if not ((one == ord("1")) & ((sign == ord("+")) | (sign == ord("-")))).all():
+        return None
+    return np.where(sign == ord("+"), POSITIVE, NEGATIVE)
+
+
+def _raise_first_bad_row(text: str) -> NoReturn:
+    """Raise the error for the first malformed data row of the file ``text``."""
+    lines = text.split("\n")[1:]
     if lines and lines[-1] == "":
         lines.pop()
-    if not lines or lines[0] != _CSV_HEADER:
-        raise ScoresCsvError(f"expected header '{_CSV_HEADER}' in {path}")
-    scores: list[float] = []
-    labels: list[int] = []
-    for rownum, line in enumerate(lines[1:], start=1):
+    for rownum, line in enumerate(lines, start=1):
         fields = line.split(",")
         if len(fields) != 3:
             raise ScoresCsvError(f"malformed row at line {rownum}: expected 3 fields")
-        _, label_s, score_s = fields
-        if label_s == "+1":
-            labels.append(POSITIVE)
-        elif label_s == "-1":
-            labels.append(NEGATIVE)
-        else:
+        if fields[1] not in ("+1", "-1"):
             raise ScoresCsvError(f"malformed row at line {rownum}: label must be +1 or -1")
         try:
-            score = float(score_s)
+            score = float(fields[2])
         except ValueError:
             raise ScoresCsvError(
                 f"malformed row at line {rownum}: score is not a decimal literal"
             ) from None
         if not math.isfinite(score):
             raise ScoresCsvError(f"malformed row at line {rownum}: score is not finite")
-        scores.append(score)
-    return ScoredDataset(scores, labels)
+    raise RuntimeError("the bulk row check failed on rows that all parse")
 
 
 def write_scored_csv(data: ScoredDataset, path) -> None:

@@ -469,6 +469,31 @@ class TestSelect:
         assert not (tmp_path / "sel").exists()
 
     @pytest.mark.parametrize(
+        "n_pos, covered",
+        [
+            pytest.param("4", 4, id="string"),
+            pytest.param(4.0, 4, id="float"),
+            pytest.param(True, 1, id="bool"),
+        ],
+    )
+    def test_non_integer_class_totals_are_data_errors(self, n_pos, covered, tmp_path, capsys):
+        doc = fully_rejected_doc()
+        doc["metadata"]["n_pos"] = n_pos
+        for rec in doc["solutions"]:  # the counts cover ``covered`` positives
+            rec["counts"].update(tp=covered - 1, fn=1, rp=0)
+        path = tmp_path / "pareto.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "sel"
+        code = run(
+            "select", "--pareto", str(path), "--mode", "best-metric", "--metric", "acc",
+            "--out", str(out),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "metadata n_pos must be a positive integer" in err and "Traceback" not in err
+        assert not (out / "selection.json").exists()
+
+    @pytest.mark.parametrize(
         "bad, edited",
         [
             pytest.param(("a", "b"), slice(None), id="strings"),

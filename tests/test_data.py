@@ -1,6 +1,12 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
+from rejectopt.cli import main
 from rejectopt.data import (
     NEGATIVE,
     POSITIVE,
@@ -16,6 +22,91 @@ from rejectopt.data import (
 
 def write_csv(path, rows):
     path.write_text("id,label,score\n" + "".join(f"{i},{l},{s}\n" for i, (l, s) in enumerate(rows, 1)))
+
+
+def reference_load_scored_csv(path) -> ScoredDataset:
+    """The row-by-row loader that ``load_scored_csv`` must agree with exactly."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines or lines[0] != "id,label,score":
+        raise ScoresCsvError(f"expected header 'id,label,score' in {path}")
+    scores: list[float] = []
+    labels: list[int] = []
+    for rownum, line in enumerate(lines[1:], start=1):
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise ScoresCsvError(f"malformed row at line {rownum}: expected 3 fields")
+        _, label_s, score_s = fields
+        if label_s == "+1":
+            labels.append(POSITIVE)
+        elif label_s == "-1":
+            labels.append(NEGATIVE)
+        else:
+            raise ScoresCsvError(f"malformed row at line {rownum}: label must be +1 or -1")
+        try:
+            score = float(score_s)
+        except ValueError:
+            raise ScoresCsvError(
+                f"malformed row at line {rownum}: score is not a decimal literal"
+            ) from None
+        if not math.isfinite(score):
+            raise ScoresCsvError(f"malformed row at line {rownum}: score is not finite")
+        scores.append(score)
+    return ScoredDataset(scores, labels)
+
+
+def load_outcome(load, path):
+    """Scores bits, labels and dtypes of a load, or its exception's type and message."""
+    try:
+        data = load(path)
+    except ValueError as e:  # ScoresCsvError and UnicodeDecodeError
+        return type(e), str(e)
+    return data.scores.dtype, data.scores.tobytes(), data.labels.dtype, data.labels.tolist()
+
+
+_ids = st.sampled_from(["1", "42", "", "x y", "\u00e9", "\r", "\u0661"])
+_labels = st.sampled_from(["+1", "-1"])
+_bad_labels = st.sampled_from(
+    ["1", "+2", "*1", "", "+", "+1 ", "-1 ", "+10", "-1\r", " -1", "++1", "\u22121"]
+)
+_scores = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["0.5", "-3", "1e-5", " 0.25 ", "0.5\r", "1_0", "\u00a00.5", "\u0661.\u0662"]),
+)
+_bad_scores = st.sampled_from([
+    "", "abc", "nan", "-inf", "Infinity", "1e309", "-1e309", "1__0", "_1", "0x10", "1.5e",
+    "0.5\x00", "\u0661\u066b\u0662", "0,5",
+])
+_rows = st.tuples(_ids, _labels, _scores).map(",".join)
+_bad_rows = st.one_of(
+    st.tuples(_ids, _bad_labels, _scores).map(",".join),
+    st.tuples(_ids, _labels, _bad_scores).map(",".join),
+    st.sampled_from(["", "1", "1,+1", "1,+1,0.5,x", ",,", ",,,", "1,+1,,"]),
+    # two rows whose commas add up to two per row, each pair around a label
+    st.sampled_from(["1,+1,2,-1,0.5\n3", "1\n2,+1,3,-1,0.5"]),
+)
+
+
+@st.composite
+def scores_files(draw) -> bytes:
+    """Scores-CSV bytes: mostly well formed, some with bad rows, headers or UTF-8."""
+    rows = draw(st.lists(_rows, max_size=20))
+    if rows and draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 2))):
+            rows[draw(st.integers(0, len(rows) - 1))] = draw(_bad_rows)
+    header = draw(st.sampled_from(
+        ["id,label,score"] * 12 + ["\ufeffid,label,score", "id,label,score\r", "id,label", ""]
+    ))
+    end = draw(st.sampled_from(["\n", "", "\n\n"]))
+    raw = ("\n".join([header, *rows]) + end).encode("utf-8")
+    bad = draw(st.sampled_from([b""] * 12 + [b"\xff", b"\x80", b"\xc3", b"\xe2\x82"]))
+    if bad:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + bad + raw[at:]
+    return raw
 
 
 class TestLoadScoredCsv:
@@ -84,6 +175,63 @@ class TestLoadScoredCsv:
         write_scored_csv(data, f1)
         write_scored_csv(load_scored_csv(f1), f2)
         assert f1.read_bytes() == f2.read_bytes()
+
+    @seed(20261019)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(raw=scores_files())
+    @example(raw=b"id,label,score")
+    @example(raw=b"id,label,score\n1,-1,0.5")
+    @example(raw=b"id,label,score\n1,+1 ,0.5\n")
+    @example(raw=b"id,label,score\n1,+1,nan\n")
+    @example(raw=b"id,label,score\n1,*1,0.5\n")
+    @example(raw=b"id,label,score\n1,-2,0.5\n")
+    @example(raw=b"id,label,score\n1,+1,2,-1,0.5\n3\n")
+    @example(raw=b"id,label,score\n1\n2,+1,3,-1,0.5\n")
+    def test_matches_reference_loader(self, tmp_path_factory, raw):
+        path = tmp_path_factory.getbasetemp() / "differential.csv"
+        path.write_bytes(raw)
+        assert load_outcome(load_scored_csv, path) == load_outcome(reference_load_scored_csv, path)
+
+
+class TestScoresCsvThroughCli:
+    ROWS = "1,+1,0.75\n2,-1,-0.5\n3,+1,0.25\n4,-1,0.125\n"
+
+    def baseline(self, tmp_path, raw):
+        scores = tmp_path / "scores.csv"
+        scores.write_bytes(raw)
+        return main([
+            "baseline", "--scores", str(scores), "--model", "ba", "--kmax", "0.5",
+            "--out", str(tmp_path / "out"),
+        ])
+
+    def test_header_only_file(self, tmp_path, capsys):
+        assert self.baseline(tmp_path, b"id,label,score\n") == 2
+        assert "both classes (n_pos=0, n_neg=0)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_no_final_line_feed(self, tmp_path):
+        with_lf, without_lf = tmp_path / "lf", tmp_path / "no_lf"
+        with_lf.mkdir()
+        without_lf.mkdir()
+        body = "id,label,score\n" + self.ROWS
+        assert self.baseline(with_lf, body.encode()) == 0
+        assert self.baseline(without_lf, body[:-1].encode()) == 0
+        result = (with_lf / "out" / "baseline.json").read_bytes()
+        assert (without_lf / "out" / "baseline.json").read_bytes() == result
+        assert len(json.loads(result)["solutions"]) == 1
+
+    def test_extra_blank_last_line_is_row_n_plus_1(self, tmp_path, capsys):
+        assert self.baseline(tmp_path, ("id,label,score\n" + self.ROWS + "\n").encode()) == 2
+        err = capsys.readouterr().err
+        assert "malformed row at line 5: expected 3 fields" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_invalid_utf8_is_data_error(self, tmp_path, capsys):
+        raw = ("id,label,score\n" + self.ROWS).encode().replace(b"0.25", b"0.2\xff")
+        assert self.baseline(tmp_path, raw) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "utf-8" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestStratifiedSplit:

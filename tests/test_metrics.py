@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from rejectopt.data import ScoredDataset, synth_two_gaussian
 from rejectopt.metrics import (
@@ -118,6 +120,23 @@ class TestConfusionCounts:
             confusion_counts(data, [0.1, 0.6], [0.2, 0.4])
         with pytest.raises(ValueError, match="t1 <= t2"):
             confusion_counts(data, [float("nan")], [0.4])
+
+
+    @seed(20261019)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 4), st.booleans()), min_size=1, max_size=40),
+        st.lists(st.integers(-1, 5).map(lambda v: v / 4), min_size=0, max_size=12),
+    )
+    def test_single_cuts_match_pairs_of_equal_cuts(self, examples, levels):
+        # tie-heavy: scores and cuts on the same few quarter steps
+        data = make_dataset([(v / 4, 1 if p else -1) for v, p in examples])
+        for cuts in (np.array(levels), np.array(levels[0] if levels else 0.5)):
+            same = confusion_counts(data, cuts, cuts)
+            copied = confusion_counts(data, cuts, cuts.copy())
+            for a, b in zip(same, copied):
+                assert type(a) is type(b) and a.dtype == b.dtype and a.shape == b.shape
+                assert np.array_equal(a, b)
 
 
 class TestEssentialMetrics:
