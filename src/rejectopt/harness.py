@@ -7,12 +7,25 @@ children spawned one at a time from ``numpy.random.SeedSequence(master)``
 (the children of ``spawn(n)``, in order, without holding n at once); each child's
 ``generate_state(2)`` yields the cost-sampler seed and the optimizer seed.
 Trials are therefore independent and reproducible in any order.
+
+That is what lets the optimizer runs go to worker processes: one per CPU in
+the process's affinity mask, forked, capped at the number of runs. Seed
+spawning, cost sampling, both baselines, selection and test-set scoring stay
+in the calling process, in trial (or grid) order, and the runs' results are
+consumed in that order, so every output is the same as from one CPU. With
+one usable CPU or one run, or where processes cannot be forked, the runs go
+in-process.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from collections.abc import Iterable, Iterator
+from contextlib import closing
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -21,14 +34,16 @@ from .data import ScoredDataset
 from .metrics import (
     ClassPriors,
     CostMatrix,
+    EssentialMetrics,
+    RejectionConfusion,
     SolutionEval,
     ThresholdPair,
-    classify_with_rejection,
+    confusion_counts,
     empirical_priors,
     essential_metrics,
     expected_cost,
 )
-from .moba import MobaConfig, NoFeasibleSolutionError, evolve
+from .moba import EvolveResult, MobaConfig, NoFeasibleSolutionError, evolve
 
 CostEntry = float | tuple[float, float]  # fixed value or uniform range [a, b]
 
@@ -182,8 +197,81 @@ def select_best_under_cap(
     return min(eligible, key=sort_key)
 
 
-def _cost_on(data: ScoredDataset, t: ThresholdPair, costs: CostMatrix, priors: ClassPriors) -> float:
-    return expected_cost(essential_metrics(classify_with_rejection(data, t)), priors, costs)
+def _test_metrics(test: ScoredDataset, *pairs: ThresholdPair) -> list[EssentialMetrics]:
+    """Metrics of each threshold pair on ``test``, from one kernel call."""
+    counts = confusion_counts(test, [t.t1 for t in pairs], [t.t2 for t in pairs])
+    return [essential_metrics(RejectionConfusion(*c)) for c in zip(*(a.tolist() for a in counts))]
+
+
+def _usable_cpus() -> int:
+    """CPUs in this process's affinity mask; 1 where processes cannot be forked."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _evolve_task(valid: ScoredDataset, cfg: MobaConfig) -> EvolveResult | None:
+    """One optimizer run, or None when it ends with no feasible pair.
+
+    Private and module-level, so a worker process can unpickle it by name.
+    """
+    try:
+        return evolve(valid, cfg)
+    except NoFeasibleSolutionError:
+        return None
+
+
+def _end_with_parent(parent: int) -> None:
+    """Worker initializer: the kernel kills this worker when its parent ends,
+    so a parent killed by a signal leaves no worker behind."""
+    import ctypes
+    import signal
+
+    prctl = ctypes.CDLL(None).prctl
+    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+    prctl(1, signal.SIGKILL)  # 1 = PR_SET_PDEATHSIG
+    if os.getppid() != parent:  # the parent ended before the call
+        os._exit(1)
+
+
+def _runs_in_order(
+    valid: ScoredDataset, jobs: Iterable[tuple[object, MobaConfig | None]], n_jobs: int
+) -> Iterator[tuple[object, EvolveResult | None]]:
+    """Yield ``(item, _evolve_task(valid, cfg))`` for each ``(item, cfg)`` of
+    ``jobs``, in order; a ``cfg`` of None runs nothing and yields None.
+
+    The runs go to forked worker processes, one per usable CPU, capped at
+    ``n_jobs``; with fewer than two, they run here as they are consumed.
+    ``jobs`` is drawn lazily, never more than twice the worker count ahead
+    of the item being consumed. Closing the generator, or an error in a run,
+    cancels the runs not yet started and ends every worker.
+    """
+    workers = min(_usable_cpus(), n_jobs)
+    if workers < 2:
+        for item, cfg in jobs:
+            yield item, (None if cfg is None else _evolve_task(valid, cfg))
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    jobs = iter(jobs)
+    with ProcessPoolExecutor(
+        workers, get_context("fork"), _end_with_parent, (os.getpid(),)
+    ) as pool:
+        window = deque()
+
+        def draw(n: int) -> None:
+            for item, cfg in islice(jobs, n):
+                window.append((item, None if cfg is None else pool.submit(_evolve_task, valid, cfg)))
+
+        try:
+            draw(2 * workers)
+            while window:
+                item, future = window.popleft()
+                yield item, (None if future is None else future.result())
+                draw(1)
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def cost_comparison_experiment(
@@ -214,32 +302,40 @@ def cost_comparison_experiment(
     priors_valid = empirical_priors(valid)
     priors_test = empirical_priors(test)
     seeds = np.random.SeedSequence(seed)
+
+    def trials_to_run():
+        for _ in range(trials):
+            state = seeds.spawn(1)[0].generate_state(2, np.uint64)
+            cost_rng = np.random.default_rng(int(state[0]))
+            costs = sample_cost_matrix(spec, cost_rng, joint_correct=joint_correct)
+            tort = tortorella_optimize(valid, costs, priors_valid)
+            trial_cfg = None
+            if tort.activated:
+                trial_cfg = replace(cfg, p_max=tort.rpr, n_max=tort.rnr, seed=int(state[1]))
+            yield (costs, tort), trial_cfg
+
     lower = higher = identical = not_activated = no_feasible = 0
-    for _ in range(trials):
-        state = seeds.spawn(1)[0].generate_state(2, np.uint64)
-        cost_rng = np.random.default_rng(int(state[0]))
-        costs = sample_cost_matrix(spec, cost_rng, joint_correct=joint_correct)
-        tort = tortorella_optimize(valid, costs, priors_valid)
-        if not tort.activated:
-            identical += 1
-            not_activated += 1
-            continue
-        trial_cfg = replace(cfg, p_max=tort.rpr, n_max=tort.rnr, seed=int(state[1]))
-        try:
-            result = evolve(valid, trial_cfg)
-        except NoFeasibleSolutionError:
-            identical += 1
-            no_feasible += 1
-            continue
-        best = select_min_cost(result.pareto, costs, priors_valid)
-        moba_cost = _cost_on(test, best.thresholds, costs, priors_test)
-        tort_cost = _cost_on(test, tort.thresholds, costs, priors_test)
-        if moba_cost < tort_cost - _COST_TIE_TOL:
-            lower += 1
-        elif moba_cost > tort_cost + _COST_TIE_TOL:
-            higher += 1
-        else:
-            identical += 1
+    with closing(_runs_in_order(valid, trials_to_run(), trials)) as runs:
+        for (costs, tort), result in runs:
+            if not tort.activated:
+                identical += 1
+                not_activated += 1
+                continue
+            if result is None:
+                identical += 1
+                no_feasible += 1
+                continue
+            best = select_min_cost(result.pareto, costs, priors_valid)
+            moba_cost, tort_cost = (
+                expected_cost(m, priors_test, costs)
+                for m in _test_metrics(test, best.thresholds, tort.thresholds)
+            )
+            if moba_cost < tort_cost - _COST_TIE_TOL:
+                lower += 1
+            elif moba_cost > tort_cost + _COST_TIE_TOL:
+                higher += 1
+            else:
+                identical += 1
     return ComparisonCounts(
         lower=lower,
         higher=higher,
@@ -254,18 +350,8 @@ def default_sweep_grid() -> list[float]:
     return [round(0.01 + 0.02 * i, 2) for i in range(15)]
 
 
-def _curve_point(
-    reject_param: float, model: str, test: ScoredDataset, t: ThresholdPair
-) -> CurvePoint:
-    m = essential_metrics(classify_with_rejection(test, t))
-    return CurvePoint(
-        reject_param=reject_param,
-        model=model,
-        acc=m.acc,
-        auc=m.auc,
-        gmean=m.gmean,
-        observed_rej=m.rej,
-    )
+def _curve_point(reject_param: float, model: str, m: EssentialMetrics) -> CurvePoint:
+    return CurvePoint(reject_param, model, m.acc, m.auc, m.gmean, m.rej)
 
 
 def curve_sweep(
@@ -292,19 +378,24 @@ def curve_sweep(
     test.require_both_classes()
     grid = default_sweep_grid() if grid is None else list(grid)
     seeds = np.random.SeedSequence(seed)
+
+    def runs_to_make():
+        for k in grid:
+            moba_seed = int(seeds.spawn(1)[0].generate_state(1, np.uint64)[0])
+            yield k, replace(cfg, p_max=k, n_max=k, seed=moba_seed)
+
     points: list[CurvePoint] = []
-    for k in grid:
-        moba_seed = int(seeds.spawn(1)[0].generate_state(1, np.uint64)[0])
-        cfg_k = replace(cfg, p_max=k, n_max=k, seed=moba_seed)
-        try:
-            result = evolve(valid, cfg_k)
-        except NoFeasibleSolutionError:
-            points.append(CurvePoint(k, "moba", None, None, None, math.nan))
-        else:
-            best = select_best_under_cap(result.pareto, metric, max_rpr=k, max_rnr=k)
-            points.append(_curve_point(k, "moba", test, best.thresholds))
-        ba = ba_optimize(valid, k)
-        points.append(_curve_point(k, "ba", test, ba.thresholds))
+    with closing(_runs_in_order(valid, runs_to_make(), len(grid))) as runs:
+        for k, result in runs:
+            ba = ba_optimize(valid, k)
+            if result is None:
+                (m_ba,) = _test_metrics(test, ba.thresholds)
+                points.append(CurvePoint(k, "moba", None, None, None, math.nan))
+            else:
+                best = select_best_under_cap(result.pareto, metric, max_rpr=k, max_rnr=k)
+                m_ba, m_moba = _test_metrics(test, ba.thresholds, best.thresholds)
+                points.append(_curve_point(k, "moba", m_moba))
+            points.append(_curve_point(k, "ba", m_ba))
     points.sort(key=lambda p: (p.reject_param, p.model))
     return points
 

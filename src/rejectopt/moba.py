@@ -67,6 +67,10 @@ class NoFeasibleSolutionError(RuntimeError):
         self.p_max = p_max
         self.n_max = n_max
 
+    def __reduce__(self):
+        # ``args`` holds only the message, so rebuild from the caps instead
+        return type(self), (self.p_max, self.n_max)
+
 
 @dataclass(frozen=True)
 class MobaConfig:

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from rejectopt import baselines
@@ -17,9 +17,11 @@ from rejectopt.baselines import (
     tortorella_optimize,
 )
 from rejectopt.data import ScoredDataset, synth_two_gaussian
+from rejectopt.harness import builtin_cost_models, sample_cost_matrix
 from rejectopt.metrics import (
     ClassPriors,
     CostMatrix,
+    RejectionConfusion,
     ThresholdPair,
     classify_with_rejection,
     empirical_priors,
@@ -66,6 +68,31 @@ def brute_force_ba(data, k_max, cfn, cfp):
             obj = (cfn * fn + cfp * fp) / classified
             if best is None or obj < best:
                 best = obj
+    return best
+
+
+def brute_force_min_cost(data, costs, priors):
+    """Independent oracle: the least expected cost over every ordered pair of
+    candidate cuts (t1 <= t2), counted example by example."""
+    scores = data.scores.tolist()
+    labels = data.labels.tolist()
+    s = sorted(set(scores))
+    cands = [s[0] - 1.0] + [(a + b) / 2 for a, b in zip(s, s[1:])] + [s[-1] + 1.0]
+    best = None
+    for i, t1 in enumerate(cands):
+        for t2 in cands[i:]:
+            tp = fn = rp = fp = tn = rn = 0
+            for sc, lb in zip(scores, labels):
+                if sc > t2:
+                    tp, fp = (tp + 1, fp) if lb == 1 else (tp, fp + 1)
+                elif sc <= t1:
+                    fn, tn = (fn + 1, tn) if lb == 1 else (fn, tn + 1)
+                else:
+                    rp, rn = (rp + 1, rn) if lb == 1 else (rp, rn + 1)
+            m = essential_metrics(RejectionConfusion(tp, fn, rp, fp, tn, rn))
+            cost = expected_cost(m, priors, costs)
+            if best is None or cost < best:
+                best = cost
     return best
 
 
@@ -440,6 +467,22 @@ class TestTortorella:
         costs = CostMatrix(*map(float, entries))
         priors = empirical_priors(data)
         assert tortorella_optimize(data, costs, priors) == loop_tortorella(data, costs, priors)
+
+    @seed(20261019)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        tied_examples,
+        st.sampled_from(sorted(builtin_cost_models())),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_cost_is_the_all_pairs_minimum(self, example_lists, model, draw_seed):
+        # the hull-vertex search loses nothing against every ordered pair of
+        # cuts, activated or not, for matrices the comparison protocol samples
+        data = tied_dataset(*example_lists)
+        costs = sample_cost_matrix(builtin_cost_models()[model], np.random.default_rng(draw_seed))
+        priors = empirical_priors(data)
+        brute = brute_force_min_cost(data, costs, priors)
+        assert tortorella_optimize(data, costs, priors).cost == pytest.approx(brute, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.filterwarnings("error")

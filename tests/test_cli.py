@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rejectopt
 from rejectopt.cli import _read_record, main
 from rejectopt.data import ScoredDataset, load_scored_csv, synth_two_gaussian, write_scored_csv
 from rejectopt.metrics import (
@@ -602,3 +606,21 @@ class TestSelect:
             "--out", str(tmp_path / "x"),
         )
         assert code == 1
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only compare-costs and curves use worker processes; every other command
+    # should not pay for importing them
+    code = (
+        "import sys, rejectopt.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    src = str(Path(rejectopt.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"

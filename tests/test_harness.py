@@ -1,4 +1,11 @@
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,6 +285,171 @@ class TestCurveSweep:
         for ind in result.pareto:
             m = essential_metrics(classify_with_rejection(valid, ind.thresholds))
             assert m.rej <= k + 1e-12
+
+
+class TestWorkerProcesses:
+    """The optimizer runs of both protocols go to forked worker processes."""
+
+    @staticmethod
+    def force_cpus(monkeypatch, n):
+        import rejectopt.harness as harness
+
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: n)
+
+    @staticmethod
+    def record_pids(monkeypatch, path):
+        import rejectopt.harness as harness
+
+        def evolve_recording_pid(valid, cfg):
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return evolve(valid, cfg)
+
+        monkeypatch.setattr(harness, "evolve", evolve_recording_pid)
+
+    @pytest.mark.parametrize("protocol", ["compare-costs", "curves"])
+    def test_same_results_from_one_and_two_workers(self, splits, monkeypatch, tmp_path, protocol):
+        valid, test = splits
+        cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=8, gensize=8)
+
+        def run():
+            if protocol == "compare-costs":
+                return cost_comparison_experiment(
+                    valid, test, builtin_cost_models()["cm4"], 12, cfg, seed=3
+                )
+            return curve_sweep(valid, test, cfg, seed=3, grid=[0.04, 0.12, 0.2, 0.28])
+
+        results, pids = [], []
+        for n in (1, 2):
+            self.force_cpus(monkeypatch, n)
+            self.record_pids(monkeypatch, tmp_path / f"pids{n}")
+            results.append(run())
+            pids.append(set((tmp_path / f"pids{n}").read_text().split()))
+        assert results[0] == results[1]
+        assert pids[0] == {str(os.getpid())}
+        assert 1 <= len(pids[1]) <= 2 and str(os.getpid()) not in pids[1]
+        assert multiprocessing.active_children() == []
+
+    def test_error_in_a_run_propagates_and_ends_the_workers(self, splits, monkeypatch):
+        import rejectopt.harness as harness
+
+        def evolve_failing_at_016(valid, cfg):
+            if cfg.p_max == 0.16:
+                raise ValueError("run failed at 0.16")
+            return evolve(valid, cfg)
+
+        self.force_cpus(monkeypatch, 2)
+        monkeypatch.setattr(harness, "evolve", evolve_failing_at_016)
+        valid, test = splits
+        cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=8, gensize=8)
+        with pytest.raises(ValueError, match="run failed at 0.16"):
+            curve_sweep(valid, test, cfg, seed=1, grid=[0.08, 0.12, 0.16, 0.2, 0.24, 0.28])
+        assert multiprocessing.active_children() == []
+
+    def test_error_in_the_caller_ends_the_workers(self, splits, monkeypatch):
+        import rejectopt.harness as harness
+
+        def select_failing(*args, **kwargs):
+            raise ValueError("selection failed")
+
+        self.force_cpus(monkeypatch, 2)
+        monkeypatch.setattr(harness, "select_best_under_cap", select_failing)
+        valid, test = splits
+        cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=8, gensize=8)
+        with pytest.raises(ValueError, match="selection failed"):
+            curve_sweep(valid, test, cfg, seed=1, grid=[0.08, 0.12, 0.16, 0.2, 0.24, 0.28])
+        assert multiprocessing.active_children() == []
+
+    def test_sampling_stays_within_two_runs_per_worker_ahead(self, splits, monkeypatch):
+        import rejectopt.harness as harness
+
+        valid, test = splits
+        fixed = evolve(valid, MobaConfig(p_max=0.5, n_max=0.5, popsize=8, gensize=4, seed=0))
+        sampled = counted = 0
+        leads = []
+
+        def sample(*args, **kwargs):
+            nonlocal sampled
+            sampled += 1
+            leads.append(sampled - counted)
+            return sample_cost_matrix(*args, **kwargs)
+
+        def select(*args, **kwargs):
+            nonlocal counted
+            counted += 1
+            return select_min_cost(*args, **kwargs)
+
+        self.force_cpus(monkeypatch, 2)
+        monkeypatch.setattr(harness, "evolve", lambda valid, cfg: fixed)
+        monkeypatch.setattr(harness, "sample_cost_matrix", sample)
+        monkeypatch.setattr(harness, "select_min_cost", select)
+        # fixed costs that activate the reject option in every trial
+        spec = CostModelSpec(ctp=-1.0, ctn=-1.0, cfp=100.0, cfn=100.0, crp=0.0, crn=0.0)
+        cfg = MobaConfig(p_max=0.5, n_max=0.5)
+        counts = cost_comparison_experiment(valid, test, spec, 40, cfg, seed=0)
+        assert counted == sampled == counts.total == 40 and counts.not_activated == 0
+        assert max(leads) == 2 * 2  # ahead of the consumer, but only by the window
+        assert multiprocessing.active_children() == []
+
+
+_SWEEP_UNTIL_KILLED = """
+import os, sys
+import rejectopt.harness as harness
+from rejectopt.data import SplitSpec, stratified_split, synth_two_gaussian
+from rejectopt.moba import MobaConfig, evolve
+
+def evolve_recording_pid(valid, cfg):
+    with open(sys.argv[1], "a", encoding="utf-8") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    return evolve(valid, cfg)
+
+harness.evolve = evolve_recording_pid
+harness._usable_cpus = lambda: 2
+_, valid, test = stratified_split(
+    synth_two_gaussian(80, 120, 0.8, -0.8, 1.0, seed=33), SplitSpec(0.6, 0.2, 0.2, seed=4)
+)
+harness.curve_sweep(valid, test, MobaConfig(p_max=0.5, n_max=0.5), seed=1, grid=[0.1] * 10_000)
+"""
+
+
+def _running(pid: int) -> bool:
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="worker processes run on Linux only")
+def test_killed_parent_leaves_no_worker(tmp_path):
+    import rejectopt
+
+    pid_file = tmp_path / "pids"
+    src = str(Path(rejectopt.__file__).resolve().parents[1])
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _SWEEP_UNTIL_KILLED, str(pid_file)],
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    workers: set[int] = set()
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and time.monotonic() < deadline and parent.poll() is None:
+            time.sleep(0.05)
+            if pid_file.exists():
+                workers = {int(p) for p in pid_file.read_text().split()}
+        assert len(workers) == 2
+        parent.kill()  # SIGKILL: no clean-up code runs in the parent
+        parent.wait()
+        deadline = time.monotonic() + 10
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, workers))
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait()
+        for pid in filter(_running, workers):
+            os.kill(pid, signal.SIGKILL)
 
 
 class TestCsvWriters:

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -179,6 +180,13 @@ class TestEvolve:
         cfg = MobaConfig(p_max=0.0, n_max=0.0, popsize=4, gensize=2, seed=0)
         with pytest.raises(NoFeasibleSolutionError, match="0.0"):
             evolve(valid, cfg)
+
+    def test_no_feasible_error_survives_pickling(self):
+        # a worker process hands its errors back pickled
+        err = pickle.loads(pickle.dumps(NoFeasibleSolutionError(0.1, 0.2)))
+        assert type(err) is NoFeasibleSolutionError
+        assert (err.p_max, err.n_max) == (0.1, 0.2)
+        assert str(err) == str(NoFeasibleSolutionError(0.1, 0.2))
 
     def test_overflowing_score_range_raises(self):
         # hi - lo overflows to inf; initialization used to loop forever
