@@ -380,18 +380,15 @@ def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eta-m", type=float, default=20.0, dest="eta_m")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="rejectopt", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("optimize", help="Pareto-optimal threshold pairs under per-class caps")
+def _optimize_parser(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--pmax", type=float, required=True, help="positive-class reject cap")
     p.add_argument("--nmax", type=float, required=True, help="negative-class reject cap")
     _add_optimizer_flags(p)
     p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("baseline", help="run a published baseline model")
+
+def _baseline_parser(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--model", choices=("ba", "tortorella"), required=True)
     p.add_argument("--kmax", type=float, default=None, help="ba: overall reject cap")
@@ -403,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--crn", type=float, default=None)
     p.set_defaults(func=cmd_baseline)
 
-    p = sub.add_parser("compare-costs", help="count lower/higher/identical costs vs the hull baseline")
+
+def _compare_costs_parser(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--cost-model", choices=("cm1", "cm2", "cm3", "cm4"), required=True)
     p.add_argument("--trials", type=int, default=1000)
@@ -411,14 +409,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_optimizer_flags(p)
     p.set_defaults(func=cmd_compare_costs)
 
-    p = sub.add_parser("curves", help="performance-rejection curves for both models")
+
+def _curves_parser(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--metric", choices=("acc", "auc", "g"), default="auc",
                    help="selection metric for the bi-objective model")
     _add_optimizer_flags(p)
     p.set_defaults(func=cmd_curves)
 
-    p = sub.add_parser("select", help="pick the best solution from a Pareto JSON")
+
+def _select_parser(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pareto", required=True, help="pareto.json from optimize")
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=("min-cost", "best-metric"), required=True)
@@ -437,12 +437,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--crn", type=float, default=None)
     p.set_defaults(func=cmd_select)
 
+
+# name -> (help text, function adding the command's flags and handler), in
+# --help order. Each handler is looked up when the parser is built, not stored
+# here, so a wrapper bound over ``cmd_*`` (as a tracer installs) is the one called.
+_COMMANDS = {
+    "optimize": ("Pareto-optimal threshold pairs under per-class caps", _optimize_parser),
+    "baseline": ("run a published baseline model", _baseline_parser),
+    "compare-costs": (
+        "count lower/higher/identical costs vs the hull baseline", _compare_costs_parser,
+    ),
+    "curves": ("performance-rejection curves for both models", _curves_parser),
+    "select": ("pick the best solution from a Pareto JSON", _select_parser),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser. Every command is registered, so the top-level help
+    and the invalid-choice error list all five; only ``command`` gets its
+    flags and handler, or every command when ``command`` is None. argparse
+    reads only the invoked command's flags, so a parser built for that
+    command parses exactly as the full one does."""
+    parser = _Parser(prog="rejectopt", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (help_text, define) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command is None or name == command:
+            define(p)
     return parser
 
 
+def _invoked_command(argv: list[str]) -> str | None:
+    """The command argparse dispatches ``argv`` to, if any: the top level
+    takes no option with a value, so it is the first token naming one."""
+    return next((a for a in argv if a in _COMMANDS), None)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(_invoked_command(argv)).parse_args(argv)
     try:
         return args.func(args)
     except UsageError as e:

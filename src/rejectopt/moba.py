@@ -134,23 +134,24 @@ def evaluate_batch(
 
     A pair is feasible when t1 < t2, both reject rates are within their caps
     and each class keeps a classified example; an infeasible pair gets the
-    death penalty (1, 1). Rates are float64 quotients of the integer counts,
-    so they equal the Python floats of :func:`essential_metrics` bit for bit.
+    death penalty (1, 1). Rates are quotients of the counts as Python ints,
+    so they equal the floats of :func:`essential_metrics` bit for bit.
     """
     valid.require_both_classes()
     t1s = np.array(t1, dtype=np.float64)
     t2s = np.array(t2, dtype=np.float64)
-    tp, fn, rp, fp, tn, rn = confusion_counts(valid, t1s, t2s)
-    pos_cls = tp + fn
-    neg_cls = fp + tn
-    feasible = (
-        (rp / valid.n_pos <= p_max) & (rn / valid.n_neg <= n_max) & (t1s < t2s)
-        & (pos_cls > 0) & (neg_cls > 0)
-    )
-    # np.maximum avoids 0/0 where a class is fully rejected; such a pair is infeasible
-    f1 = np.where(feasible, fp / np.maximum(neg_cls, 1), 1.0)
-    f2 = np.where(feasible, fn / np.maximum(pos_cls, 1), 1.0)
-    return list(zip(f1.tolist(), f2.tolist())), feasible.tolist()
+    counts = (c.tolist() for c in confusion_counts(valid, t1s, t2s))
+    n_pos, n_neg = valid.n_pos, valid.n_neg
+    p_max, n_max = float(p_max), float(n_max)  # numpy caps would make numpy bools
+    objs: list[Objectives] = []
+    feasible: list[bool] = []
+    for a, b, tp, fn, rp, fp, tn, rn in zip(t1s.tolist(), t2s.tolist(), *counts):
+        pos_cls = tp + fn
+        neg_cls = fp + tn
+        ok = rp / n_pos <= p_max and rn / n_neg <= n_max and a < b and pos_cls > 0 and neg_cls > 0
+        objs.append((fp / neg_cls, fn / pos_cls) if ok else (1.0, 1.0))
+        feasible.append(ok)
+    return objs, feasible
 
 
 def fast_nondominated_sort(objs: list[Objectives]) -> FrontSet:

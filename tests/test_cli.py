@@ -1,3 +1,6 @@
+import contextlib
+import gc
+import io
 import json
 import math
 import os
@@ -7,11 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import rejectopt
-from rejectopt.cli import _read_record, main
+from rejectopt.cli import _invoked_command, _read_record, build_parser, main
 from rejectopt.data import ScoredDataset, load_scored_csv, synth_two_gaussian, write_scored_csv
 from rejectopt.metrics import (
     ClassPriors,
@@ -209,6 +212,18 @@ class TestBaseline:
         assert doc["metadata"]["activated"] is False
         sol = doc["solutions"][0]
         assert sol["t1"] == sol["t2"]
+
+    def test_negative_costs_in_exponent_form_need_the_equals_form(self, scores_csv, tmp_path):
+        # argparse reads "-1e-3" after a flag as an option, not a negative number
+        out = tmp_path / "tort"
+        code = run(
+            "baseline", "--scores", scores_csv, "--model", "tortorella",
+            "--ctp=-1e-3", "--ctn=-2.5E1", "--cfp", "1", "--cfn", "1",
+            "--crp", "0", "--crn", "0", "--out", str(out),
+        )
+        assert code == 0
+        meta = json.loads((out / "baseline.json").read_text())["metadata"]
+        assert (meta["ctp"], meta["ctn"]) == (-1e-3, -25.0)
 
     def test_tortorella_needs_costs(self, scores_csv, tmp_path):
         code = run(
@@ -624,3 +639,111 @@ def test_import_leaves_the_process_pool_unloaded():
         check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+COMMANDS = ["optimize", "baseline", "compare-costs", "curves", "select"]
+FLAGS = [
+    "--scores", "--seed", "--out", "--pmax", "--nmax", "--popsize", "--gensize", "--pc", "--pm",
+    "--eta-c", "--eta-m", "--model", "--kmax", "--cfn", "--cfp", "--ctp", "--ctn", "--crp",
+    "--crn", "--cost-model", "--trials", "--joint-correct-costs", "--metric", "--pareto",
+    "--mode", "--cap", "--p-cap", "--n-cap", "--p-pos",
+]
+VALUES = [
+    "0.1", "3", "-1", "-1e-3", "nan", "abc", "s.csv", "ba", "tortorella", "cm1", "cm5", "auc",
+    "min-cost", "best-metric",
+]
+JUNK = ["-h", "--help", "--bogus", "-x", "--x", "junk", "--", "-", "", "--pmax=0.2", "--ctp=-1e-3"]
+
+
+def parse_outcome(parse):
+    """``parse()``'s Namespace, or its exit code and printed text."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parse()
+        except SystemExit as e:
+            return e.code, out.getvalue(), err.getvalue()
+
+
+class TestParserPerCommand:
+    """main builds only the invoked command's flags; it must parse exactly as
+    the parser with every command's flags does."""
+
+    @seed(1303)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.sampled_from(COMMANDS + JUNK), max_size=2),
+        st.lists(st.sampled_from(COMMANDS + FLAGS + VALUES + JUNK), max_size=10),
+    )
+    def test_lazy_parser_parses_like_the_full_one(self, head, rest):
+        argv = head + rest
+        lazy = parse_outcome(lambda: build_parser(_invoked_command(argv)).parse_args(argv))
+        assert lazy == parse_outcome(lambda: build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("columns", ["100", "57"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["-h"],
+            *([c, "-h"] for c in COMMANDS),
+            [],
+            ["nope"],
+            ["--x", "optimize"],
+            ["baseline", "--scores", "optimize"],
+            ["select", "--pareto", "p.json", "--out", "o", "--mode", "baseline"],
+        ],
+    )
+    def test_help_and_usage_errors_match_the_full_parser(self, argv, columns, monkeypatch):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, err = parse_outcome(lambda: main(argv))
+        assert (code, out, err) == parse_outcome(lambda: build_parser().parse_args(argv))
+        assert code == (0 if "-h" in argv else 1)
+
+    def test_main_reads_sys_argv_by_default(self, scores_csv, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "ba"
+        monkeypatch.setattr(sys, "argv", [
+            "rejectopt", "baseline", "--scores", scores_csv, "--model", "ba", "--kmax", "0.1",
+            "--out", str(out),
+        ])
+        assert main() == 0
+        assert (out / "baseline.json").exists()
+
+    def test_main_calls_the_handler_bound_at_call_time(self, scores_csv, tmp_path, monkeypatch):
+        # the benchmark's tracer times each command by rebinding cmd_* after import
+        calls = []
+        handler = rejectopt.cli.cmd_baseline
+        monkeypatch.setattr(
+            rejectopt.cli, "cmd_baseline", lambda args: calls.append(args) or handler(args)
+        )
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(
+                "baseline", "--scores", scores_csv, "--model", "ba", "--kmax", "0.1",
+                "--out", str(tmp_path / "ba"),
+            ) == 0
+        assert len(calls) == 1
+
+    def test_parser_for_one_command_rejects_the_others_flags(self):
+        parser = build_parser("baseline")
+        code, _, err = parse_outcome(lambda: parser.parse_args(["optimize", "--pmax", "0.1"]))
+        assert code == 1 and "unrecognized arguments: --pmax 0.1" in err
+        code, out, _ = parse_outcome(lambda: parser.parse_args(["--help"]))
+        assert code == 0 and "{optimize,baseline,compare-costs,curves,select}" in out
+
+    def test_a_command_leaves_less_cyclic_garbage_than_the_full_parser(self, scores_csv, tmp_path):
+        # each add_argument builds a HelpFormatter, which forms a reference cycle
+        argv = [
+            "baseline", "--scores", scores_csv, "--model", "ba", "--kmax", "0.1",
+            "--out", str(tmp_path / "ba"),
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0  # first call: imports and caches settle
+            gc.collect()
+            gc.disable()
+            try:
+                assert main(argv) == 0
+                command_garbage = gc.collect()
+                build_parser()
+                parser_garbage = gc.collect()
+            finally:
+                gc.enable()
+        assert command_garbage < parser_garbage

@@ -41,6 +41,14 @@ class TestEvaluate:
         objs, feasible = evaluate_batch([0.5], [0.5], valid, 0.5, 0.5)
         assert feasible == [False] and objs == [(1.0, 1.0)]
 
+    def test_numpy_caps_give_python_bools(self):
+        # evolve sums the flags into GenerationStats.feasible_count
+        valid = ScoredDataset([0.9, 0.5, 0.1, 0.2], [1, 1, -1, -1])
+        caps = np.float64(0.1)
+        _, feasible = evaluate_batch([0.3, 0.4], [0.35, 0.6], valid, caps, caps)
+        assert feasible == [True, False]
+        assert all(type(f) is bool for f in feasible)
+
     def test_batch_equals_per_pair_floats(self):
         def per_pair(t, data, p_max, n_max):
             m = essential_metrics(classify_with_rejection(data, t))
