@@ -62,7 +62,6 @@ from .moba import (
     EvolveResult,
     GenerationStats,
     MobaConfig,
-    NoFeasibleSolutionError,
     crowding_distance_assignment,
     evolve,
     fast_nondominated_sort,

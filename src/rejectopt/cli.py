@@ -3,7 +3,7 @@
 Every command validates its flags before touching the filesystem for
 output, and every command is deterministic for a fixed --seed (byte
 identical output files). Exit codes: 0 success (including a not-activated
-baseline), 1 usage error, 2 data error, 3 no feasible/eligible solution.
+baseline), 1 usage error, 2 data error, 3 no eligible solution (select).
 
 optimize and baseline write one record per threshold pair, with the
 confusion counts behind its rates; select rebuilds every metric exactly
@@ -52,7 +52,7 @@ from .metrics import (
     empirical_priors,
     expected_cost,
 )
-from .moba import MobaConfig, NoFeasibleSolutionError, evolve, pareto_document, solution_record
+from .moba import MobaConfig, evolve, pareto_document, solution_record
 
 
 class UsageError(Exception):
@@ -219,8 +219,6 @@ def cmd_compare_costs(args) -> int:
     print(f"  lower     {counts.lower}")
     print(f"  higher    {counts.higher}")
     print(f"  identical {counts.identical}   (not activated: {counts.not_activated})")
-    if counts.no_feasible:
-        print(f"  [{counts.no_feasible} trial(s) found no feasible pair; counted identical]")
     return 0
 
 
@@ -243,10 +241,6 @@ def cmd_curves(args) -> int:
         svg = line_chart_svg(series, title, "abstention parameter", title.split("-")[0])
         _write_text(os.path.join(args.out, filename), svg)
     print(f"wrote {len(points)} curve points and {len(charts)} charts to {args.out}")
-    missing = [p.reject_param for p in points if p.model == "moba" and math.isnan(p.observed_rej)]
-    if missing:
-        listed = ", ".join(repr(k) for k in missing)
-        print(f"  [{len(missing)} grid point(s) found no feasible pair; moba rows nan: {listed}]")
     return 0
 
 
@@ -255,7 +249,7 @@ _COUNT_KEYS = tuple(f.name for f in fields(RejectionConfusion))
 
 def _read_record(rec, where: str) -> SolutionEval:
     """One exported solution record, scored from its confusion counts. Its
-    thresholds must be JSON numbers, not bools; baseline cuts can be ±Infinity."""
+    thresholds must be JSON numbers, not bools; cuts can be ±Infinity."""
     counts = rec.get("counts") if isinstance(rec, dict) else None
     if not isinstance(counts, dict) or set(counts) != set(_COUNT_KEYS):
         raise ScoresCsvError(f"{where}: needs counts {{{', '.join(_COUNT_KEYS)}}}")
@@ -484,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ScoresCsvError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
-    except (NoFeasibleSolutionError, NoEligibleSolutionError) as e:
+    except NoEligibleSolutionError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except ValueError as e:

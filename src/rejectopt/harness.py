@@ -43,7 +43,7 @@ from .metrics import (
     essential_metrics,
     expected_cost,
 )
-from .moba import EvolveResult, MobaConfig, NoFeasibleSolutionError, evolve
+from .moba import EvolveResult, MobaConfig, evolve
 
 CostEntry = float | tuple[float, float]  # fixed value or uniform range [a, b]
 
@@ -83,7 +83,6 @@ class ComparisonCounts:
     higher: int
     identical: int
     not_activated: int
-    no_feasible: int = 0  # optimizer found no feasible pair; counted as identical
 
     @property
     def total(self) -> int:
@@ -92,8 +91,7 @@ class ComparisonCounts:
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """One model's test-set scores at one grid value. A "moba" point whose
-    optimizer found no feasible pair has no metrics and ``observed_rej`` nan."""
+    """One model's test-set scores at one grid value."""
 
     reject_param: float
     model: str  # "moba" or "ba"
@@ -210,15 +208,14 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _evolve_task(valid: ScoredDataset, cfg: MobaConfig) -> EvolveResult | None:
-    """One optimizer run, or None when it ends with no feasible pair.
+def _evolve_task(valid: ScoredDataset, cfg: MobaConfig) -> EvolveResult:
+    """One optimizer run.
 
-    Private and module-level, so a worker process can unpickle it by name.
+    Private and module-level, so a worker process can unpickle it by name
+    even while ``evolve`` is rebound (a tracer wraps it); it looks
+    ``evolve`` up when called.
     """
-    try:
-        return evolve(valid, cfg)
-    except NoFeasibleSolutionError:
-        return None
+    return evolve(valid, cfg)
 
 
 def _end_with_parent(parent: int) -> None:
@@ -291,9 +288,7 @@ def cost_comparison_experiment(
     bi-objective model is constructed). Otherwise the baseline's per-class
     reject rates become the caps, the optimizer runs, the min-cost solution
     is selected on the tuning set, and both models' expected costs on the
-    test set are compared at ``_COST_TIE_TOL``. A trial whose optimizer run
-    ends with no feasible pair also counts as identical (tracked in
-    ``no_feasible``).
+    test set are compared at ``_COST_TIE_TOL``.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -314,16 +309,12 @@ def cost_comparison_experiment(
                 trial_cfg = replace(cfg, p_max=tort.rpr, n_max=tort.rnr, seed=int(state[1]))
             yield (costs, tort), trial_cfg
 
-    lower = higher = identical = not_activated = no_feasible = 0
+    lower = higher = identical = not_activated = 0
     with closing(_runs_in_order(valid, trials_to_run(), trials)) as runs:
         for (costs, tort), result in runs:
             if not tort.activated:
                 identical += 1
                 not_activated += 1
-                continue
-            if result is None:
-                identical += 1
-                no_feasible += 1
                 continue
             best = select_min_cost(result.pareto, costs, priors_valid)
             moba_cost, tort_cost = (
@@ -337,11 +328,7 @@ def cost_comparison_experiment(
             else:
                 identical += 1
     return ComparisonCounts(
-        lower=lower,
-        higher=higher,
-        identical=identical,
-        not_activated=not_activated,
-        no_feasible=no_feasible,
+        lower=lower, higher=higher, identical=identical, not_activated=not_activated
     )
 
 
@@ -370,9 +357,7 @@ def curve_sweep(
     abstention model runs with overall cap k at unit misclassification
     costs, so it minimizes the classified error rate. Each selected
     classifier is scored on the test set; one point per (k, model), sorted
-    by k then model name. A grid value where the optimizer finds no
-    feasible pair gets a "moba" point without metrics (see
-    :class:`CurvePoint`).
+    by k then model name.
     """
     valid.require_both_classes()
     test.require_both_classes()
@@ -388,13 +373,9 @@ def curve_sweep(
     with closing(_runs_in_order(valid, runs_to_make(), len(grid))) as runs:
         for k, result in runs:
             ba = ba_optimize(valid, k)
-            if result is None:
-                (m_ba,) = _test_metrics(test, ba.thresholds)
-                points.append(CurvePoint(k, "moba", None, None, None, math.nan))
-            else:
-                best = select_best_under_cap(result.pareto, metric, max_rpr=k, max_rnr=k)
-                m_ba, m_moba = _test_metrics(test, ba.thresholds, best.thresholds)
-                points.append(_curve_point(k, "moba", m_moba))
+            best = select_best_under_cap(result.pareto, metric, max_rpr=k, max_rnr=k)
+            m_ba, m_moba = _test_metrics(test, ba.thresholds, best.thresholds)
+            points.append(_curve_point(k, "moba", m_moba))
             points.append(_curve_point(k, "ba", m_ba))
     points.sort(key=lambda p: (p.reject_param, p.model))
     return points

@@ -8,14 +8,23 @@ The variables range over the tuning set's score range, and a child that
 breaks t1 < t2 is redrawn up to ``_MAX_RETRIES`` times before the operator
 falls back to the parent.
 
+The initial population holds one more member than the drawn ones: the pair
+(hi, next float above hi), with hi the highest tuning score. It classifies
+every example negative and rejects nothing, so it is feasible under any caps
+in [0, 1], and its objectives (0, 1) dominate the penalty (1, 1). While a
+member dominates (1, 1), no infeasible member is in the first front, and
+survivor selection always keeps part of that front, so such a member
+survives every generation. Each run therefore ends with a non-empty Pareto
+set of feasible pairs, whatever the data and the caps.
+
 A generation works on parallel lists of Python floats — t1, t2, objective
 tuples, feasibility, rank and crowding — and each operator handles the
 whole generation in one call. Only the final Pareto set leaves the loop as
 :class:`~rejectopt.metrics.SolutionEval` objects, scored by one kernel call.
 
 Determinism contract: one seeded generator per run, consumed in a fixed
-order. Initialization draws come first. Then, for each generation of
-popsize N:
+order. Initialization draws come first; the extra initial member follows
+them and draws nothing. Then, for each generation of popsize N:
 
 1. ``integers(0, N, size=2N)`` for the binary tournaments, drawn in the
    order (first, second) per tournament;
@@ -55,21 +64,6 @@ Objectives = tuple[float, float]
 FrontSet = list[list[int]]  # fronts partition the population, best rank first
 
 _MAX_RETRIES = 100  # redraws of an operator child that breaks t1 < t2
-
-
-class NoFeasibleSolutionError(RuntimeError):
-    """Raised when a run ends with no individual satisfying the constraints."""
-
-    def __init__(self, p_max: float, n_max: float):
-        super().__init__(
-            f"no feasible threshold pair found under caps rpr <= {p_max}, rnr <= {n_max}"
-        )
-        self.p_max = p_max
-        self.n_max = n_max
-
-    def __reduce__(self):
-        # ``args`` holds only the message, so rebuild from the caps instead
-        return type(self), (self.p_max, self.n_max)
 
 
 @dataclass(frozen=True)
@@ -119,7 +113,7 @@ class GenerationStats:
 
 @dataclass
 class EvolveResult:
-    pareto: list[SolutionEval]  # feasible members of the final first front, population order
+    pareto: list[SolutionEval]  # the final first front, all feasible, population order
     generations: list[GenerationStats]
     config: MobaConfig
     crossover_fallbacks: int = 0  # mating pairs with a child that fell back
@@ -331,7 +325,10 @@ def pop_initialization(
     valid: ScoredDataset, cfg: MobaConfig, rng: np.random.Generator
 ) -> tuple[list[float], list[float]]:
     """t1 and t2 of popsize pairs uniform over the score range,
-    rejection-sampled to t1 < t2."""
+    rejection-sampled to t1 < t2, then of the reject-nothing pair
+    (hi, next float above hi), which is feasible under any caps (see the
+    module docstring). When hi is max float, the next float is inf, a
+    legal cut."""
     lo, hi = resolve_bounds(valid)
     t1, t2 = [], []
     while len(t1) < cfg.popsize:
@@ -340,6 +337,8 @@ def pop_initialization(
         if a < b:
             t1.append(a)
             t2.append(b)
+    t1.append(hi)
+    t2.append(math.nextafter(hi, math.inf))
     return t1, t2
 
 
@@ -428,9 +427,7 @@ def evolve(valid: ScoredDataset, cfg: MobaConfig) -> EvolveResult:
         c_objs, c_feas = evaluate_batch(c1, c2, valid, p_max, n_max)
         t1, t2, objs, feas = t1 + c1, t2 + c2, objs + c_objs, feas + c_feas
 
-    front = [(a, b) for a, b, r, f in zip(t1, t2, rank, feas) if r == 0 and f]
-    if not front:
-        raise NoFeasibleSolutionError(cfg.p_max, cfg.n_max)
+    front = [(a, b) for a, b, r in zip(t1, t2, rank) if r == 0]
     counts = zip(*(c.tolist() for c in confusion_counts(valid, *zip(*front))))
     pareto = [
         SolutionEval.from_counts(ThresholdPair(*t), RejectionConfusion(*c))

@@ -1,5 +1,5 @@
 import math
-import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from rejectopt.data import ScoredDataset, synth_two_gaussian
 from rejectopt.metrics import ThresholdPair, classify_with_rejection, essential_metrics
 from rejectopt.moba import (
     MobaConfig,
-    NoFeasibleSolutionError,
     evaluate_batch,
     evolve,
     hypervolume_2d,
@@ -131,10 +130,19 @@ class TestEvolve:
             assert rp / valid.n_pos <= cfg.p_max
             assert rn / valid.n_neg <= cfg.n_max
 
+    # score of level k in 0..4: quarters; adjacent floats 1.0 + k ulp; quarters
+    # of max float, whose top score puts the reject-nothing member's t2 at inf
+    SCORE_SCALES = {
+        "quarters": lambda k: k / 4,
+        "adjacent": lambda k: 1.0 + k * 2.0**-52,
+        "max float": lambda k: k / 4 * sys.float_info.max,
+    }
+
     @seed(20261018)
     @settings(max_examples=150, deadline=None, database=None)
     @given(
         st.lists(st.tuples(st.integers(0, 4), st.booleans()), min_size=2, max_size=40),
+        st.sampled_from(sorted(SCORE_SCALES)),
         st.integers(2, 6),
         st.integers(1, 10),
         st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]),
@@ -142,18 +150,17 @@ class TestEvolve:
         st.integers(0, 2**32 - 1),
     )
     def test_pareto_members_carry_their_counts(
-        self, examples, half_popsize, gensize, p_max, n_max, run_seed
+        self, examples, scale, half_popsize, gensize, p_max, n_max, run_seed
     ):
-        # tied scores on five levels; the first and last examples fix both
-        # classes and a non-degenerate score range
+        # every run ends with a non-empty feasible front, whatever the data and
+        # caps: tied scores on five levels, anti-separated classes among them;
+        # the first and last examples fix both classes and a non-degenerate range
         levels = [0, *(level for level, _ in examples[1:-1]), 4]
         labels = [1, *(1 if is_pos else -1 for _, is_pos in examples[1:-1]), -1]
-        data = ScoredDataset([level / 4 for level in levels], labels)
+        data = ScoredDataset([self.SCORE_SCALES[scale](level) for level in levels], labels)
         cfg = MobaConfig(p_max, n_max, 2 * half_popsize, gensize, seed=run_seed)
-        try:
-            res = evolve(data, cfg)
-        except NoFeasibleSolutionError:
-            return
+        res = evolve(data, cfg)
+        assert res.pareto
         objs, feasible = evaluate_batch(
             [s.thresholds.t1 for s in res.pareto], [s.thresholds.t2 for s in res.pareto],
             data, p_max, n_max,
@@ -179,22 +186,6 @@ class TestEvolve:
         assert res.generations[0].generation == 0
         assert res.generations[-1].generation == 7
         assert all(0 <= g.feasible_count <= 8 for g in res.generations)
-
-    def test_no_feasible_reported_with_caps(self):
-        n = 400
-        scores = np.linspace(0.0, 1.0, n)
-        labels = np.where(np.arange(n) % 2 == 0, 1, -1)
-        valid = ScoredDataset(scores, labels)
-        cfg = MobaConfig(p_max=0.0, n_max=0.0, popsize=4, gensize=2, seed=0)
-        with pytest.raises(NoFeasibleSolutionError, match="0.0"):
-            evolve(valid, cfg)
-
-    def test_no_feasible_error_survives_pickling(self):
-        # a worker process hands its errors back pickled
-        err = pickle.loads(pickle.dumps(NoFeasibleSolutionError(0.1, 0.2)))
-        assert type(err) is NoFeasibleSolutionError
-        assert (err.p_max, err.n_max) == (0.1, 0.2)
-        assert str(err) == str(NoFeasibleSolutionError(0.1, 0.2))
 
     def test_overflowing_score_range_raises(self):
         # hi - lo overflows to inf; initialization used to loop forever

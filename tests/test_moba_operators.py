@@ -449,9 +449,11 @@ class TestPopInitialization:
         lo, hi = valid.score_range()
         cfg = MobaConfig(p_max=0.1, n_max=0.1, popsize=20)
         t1, t2 = pop_initialization(valid, cfg, np.random.default_rng(0))
-        assert len(t1) == len(t2) == 20
-        for a, b in zip(t1, t2):
+        assert len(t1) == len(t2) == 21
+        for a, b in zip(t1[:-1], t2[:-1]):
             assert lo <= a < b <= hi
+        # then the reject-nothing pair, feasible under any caps
+        assert (t1[-1], t2[-1]) == (hi, math.nextafter(hi, math.inf))
 
     def test_degenerate_scores_need_bounds(self):
         valid = ScoredDataset([0.5, 0.5, 0.5, 0.5], [1, 1, -1, -1])
