@@ -114,12 +114,18 @@ def _cost_matrix(args) -> CostMatrix:
         raise UsageError(str(e)) from None
 
 
+def _cut(t: float) -> str:
+    """A threshold as text: 6 decimals, or exponent form from 1e15 on, where
+    fixed point would print up to 309 digits."""
+    return f"{t:.6f}" if abs(t) < 1e15 else f"{t:.6e}"
+
+
 def _pareto_table(doc: dict) -> str:
     header = f"{'t1':>12} {'t2':>12} {'fpr':>8} {'fnr':>8} {'rpr':>8} {'rnr':>8}"
     lines = [header, "-" * len(header)]
     for s in doc["solutions"]:
         lines.append(
-            f"{s['t1']:>12.6f} {s['t2']:>12.6f} {s['fpr']:>8.4f} {s['fnr']:>8.4f} "
+            f"{_cut(s['t1']):>12} {_cut(s['t2']):>12} {s['fpr']:>8.4f} {s['fnr']:>8.4f} "
             f"{s['rpr']:>8.4f} {s['rnr']:>8.4f}"
         )
     return "\n".join(lines) + "\n"
@@ -157,8 +163,8 @@ def cmd_baseline(args) -> int:
         }
         status = "activated" if res.activated else "not activated (t1 = t2)"
         summary = (
-            f"tortorella: {status}; thresholds ({res.thresholds.t1:.6f}, "
-            f"{res.thresholds.t2:.6f}); cost {res.cost:.6f}; rpr {res.rpr:.4f}; rnr {res.rnr:.4f}"
+            f"tortorella: {status}; thresholds ({_cut(res.thresholds.t1)}, "
+            f"{_cut(res.thresholds.t2)}); cost {res.cost:.6f}; rpr {res.rpr:.4f}; rnr {res.rnr:.4f}"
         )
     else:
         if args.kmax is None:
@@ -184,7 +190,7 @@ def cmd_baseline(args) -> int:
             },
         }
         summary = (
-            f"ba: thresholds ({res.thresholds.t1:.6f}, {res.thresholds.t2:.6f}); "
+            f"ba: thresholds ({_cut(res.thresholds.t1)}, {_cut(res.thresholds.t2)}); "
             f"objective {res.objective:.6f}; rej {res.rej:.4f} (cap {args.kmax})"
         )
     t = res.thresholds
@@ -353,7 +359,7 @@ def cmd_select(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "selection.json"), out_doc)
     print(
-        f"selected ({best.thresholds.t1:.6f}, {best.thresholds.t2:.6f}) "
+        f"selected ({_cut(best.thresholds.t1)}, {_cut(best.thresholds.t2)}) "
         f"by {rationale['mode']}"
     )
     return 0

@@ -3,29 +3,30 @@ performance-rejection curve sweeps, plus the two best-classifier
 selection rules.
 
 Seed discipline: one master seed fans out to per-trial (or per-grid-point)
-children spawned one at a time from ``numpy.random.SeedSequence(master)``
-(the children of ``spawn(n)``, in order, without holding n at once); each child's
-``generate_state(2)`` yields the cost-sampler seed and the optimizer seed.
-Trials are therefore independent and reproducible in any order.
+children; run k's is ``numpy.random.SeedSequence(master, spawn_key=(k,))``,
+the k-th child ``spawn`` gives, so any process can describe run k by itself.
+Its ``generate_state(2)`` yields the cost-sampler seed and the optimizer
+seed. Trials are therefore independent and reproducible in any order.
 
 That is what lets the optimizer runs go to worker processes: one per CPU in
-the process's affinity mask, forked, capped at the number of runs. Seed
-spawning, cost sampling, both baselines, selection and test-set scoring stay
-in the calling process, in trial (or grid) order, and the runs' results are
-consumed in that order, so every output is the same as from one CPU. With
-one usable CPU or one run, or where processes cannot be forked, the runs go
-in-process.
+the process's affinity mask, forked, capped at the number of runs. A worker
+inherits the tuning set and describes its own runs, cost sampling and the
+hull baseline included; the calling process describes each again as it
+consumes it, in trial (or grid) order, so every output is the same as from
+one CPU. With one usable CPU or one run, or where processes cannot be
+forked, the runs go in-process.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections import deque
-from collections.abc import Iterable, Iterator
-from contextlib import closing
+import pickle
+import signal
+import traceback
+from collections.abc import Callable, Iterator
+from contextlib import closing, suppress
 from dataclasses import dataclass, replace
-from itertools import islice
 
 import numpy as np
 
@@ -208,21 +209,10 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _evolve_task(valid: ScoredDataset, cfg: MobaConfig) -> EvolveResult:
-    """One optimizer run.
-
-    Private and module-level, so a worker process can unpickle it by name
-    even while ``evolve`` is rebound (a tracer wraps it); it looks
-    ``evolve`` up when called.
-    """
-    return evolve(valid, cfg)
-
-
 def _end_with_parent(parent: int) -> None:
-    """Worker initializer: the kernel kills this worker when its parent ends,
-    so a parent killed by a signal leaves no worker behind."""
+    """In a worker: the kernel kills this worker when its parent ends, so a
+    parent killed by a signal leaves no worker behind."""
     import ctypes
-    import signal
 
     prctl = ctypes.CDLL(None).prctl
     prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
@@ -231,44 +221,78 @@ def _end_with_parent(parent: int) -> None:
         os._exit(1)
 
 
-def _runs_in_order(
-    valid: ScoredDataset, jobs: Iterable[tuple[object, MobaConfig | None]], n_jobs: int
-) -> Iterator[tuple[object, EvolveResult | None]]:
-    """Yield ``(item, _evolve_task(valid, cfg))`` for each ``(item, cfg)`` of
-    ``jobs``, in order; a ``cfg`` of None runs nothing and yields None.
+def _record(valid: ScoredDataset, cfg: MobaConfig) -> bytes:
+    """One run as a pickled ``(ok, result or exception)``; an exception that
+    does not survive pickling goes as a RuntimeError carrying its text."""
+    try:
+        return pickle.dumps((True, evolve(valid, cfg)))
+    except Exception as e:
+        if hasattr(e, "add_note"):  # Python 3.11+: re-raised, it shows where it arose
+            e.add_note(f"in worker {os.getpid()}: {traceback.format_exc()}")
+        try:
+            pickle.loads(data := pickle.dumps((False, e)))
+        except Exception:
+            data = pickle.dumps((False, RuntimeError(f"{type(e).__name__}: {e}")))
+        return data
 
-    The runs go to forked worker processes, one per usable CPU, capped at
-    ``n_jobs``; with fewer than two, they run here as they are consumed.
-    ``jobs`` is drawn lazily, never more than twice the worker count ahead
-    of the item being consumed. Closing the generator, or an error in a run,
-    cancels the runs not yet started and ends every worker.
+
+def _runs_in_order(
+    valid: ScoredDataset, job: Callable[[int], tuple[object, MobaConfig | None]], n_jobs: int
+) -> Iterator[tuple[object, EvolveResult | None]]:
+    """Yield ``(item, evolve(valid, cfg))`` for ``item, cfg = job(k)``, k =
+    0 .. ``n_jobs - 1`` in order; a ``cfg`` of None yields None. ``job``
+    must be a pure function of k.
+
+    W = min(usable CPUs, ``n_jobs``) workers forked here do the runs (with
+    W < 2 they run here as consumed): worker w runs each k = w (mod W) in
+    turn and writes its ``_record`` to its own pipe, which holds it back
+    when full. A run's exception is re-raised at its turn; closing the
+    generator, an error or an interrupt kills and reaps every worker.
     """
     workers = min(_usable_cpus(), n_jobs)
     if workers < 2:
-        for item, cfg in jobs:
-            yield item, (None if cfg is None else _evolve_task(valid, cfg))
+        for k in range(n_jobs):
+            item, cfg = job(k)
+            yield item, (None if cfg is None else evolve(valid, cfg))
         return
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    jobs = iter(jobs)
-    with ProcessPoolExecutor(
-        workers, get_context("fork"), _end_with_parent, (os.getpid(),)
-    ) as pool:
-        window = deque()
-
-        def draw(n: int) -> None:
-            for item, cfg in islice(jobs, n):
-                window.append((item, None if cfg is None else pool.submit(_evolve_task, valid, cfg)))
-
-        try:
-            draw(2 * workers)
-            while window:
-                item, future = window.popleft()
-                yield item, (None if future is None else future.result())
-                draw(1)
-        finally:
-            pool.shutdown(cancel_futures=True)
+    parent, pids, pipes = os.getpid(), [], []
+    try:
+        for w in range(workers):
+            r, w_end = os.pipe()
+            pipes.append(open(r, "rb"))
+            with open(w_end, "wb") as out:
+                if (pid := os.fork()) == 0:  # the worker, which never returns
+                    try:
+                        _end_with_parent(parent)
+                        for k in range(w, n_jobs, workers):
+                            if (cfg := job(k)[1]) is not None:
+                                out.write(_record(valid, cfg))
+                                out.flush()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+            pids.append(pid)
+        for k in range(n_jobs):
+            item, cfg = job(k)
+            if cfg is None:
+                yield item, None
+                continue
+            try:
+                ok, value = pickle.load(pipes[k % workers])
+            except EOFError:
+                pid = pids.pop(k % workers)
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise RuntimeError(f"worker {pid} ended early, exit status {status}") from None
+            if not ok:
+                raise value
+            yield item, value
+    finally:
+        for pid in pids:
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for f in pipes:
+            f.close()
 
 
 def cost_comparison_experiment(
@@ -296,21 +320,20 @@ def cost_comparison_experiment(
     test.require_both_classes()
     priors_valid = empirical_priors(valid)
     priors_test = empirical_priors(test)
-    seeds = np.random.SeedSequence(seed)
+    entropy = np.random.SeedSequence(seed).entropy
 
-    def trials_to_run():
-        for _ in range(trials):
-            state = seeds.spawn(1)[0].generate_state(2, np.uint64)
-            cost_rng = np.random.default_rng(int(state[0]))
-            costs = sample_cost_matrix(spec, cost_rng, joint_correct=joint_correct)
-            tort = tortorella_optimize(valid, costs, priors_valid)
-            trial_cfg = None
-            if tort.activated:
-                trial_cfg = replace(cfg, p_max=tort.rpr, n_max=tort.rnr, seed=int(state[1]))
-            yield (costs, tort), trial_cfg
+    def trial(k: int):
+        state = np.random.SeedSequence(entropy, spawn_key=(k,)).generate_state(2, np.uint64)
+        cost_rng = np.random.default_rng(int(state[0]))
+        costs = sample_cost_matrix(spec, cost_rng, joint_correct=joint_correct)
+        tort = tortorella_optimize(valid, costs, priors_valid)
+        trial_cfg = None
+        if tort.activated:
+            trial_cfg = replace(cfg, p_max=tort.rpr, n_max=tort.rnr, seed=int(state[1]))
+        return (costs, tort), trial_cfg
 
     lower = higher = identical = not_activated = 0
-    with closing(_runs_in_order(valid, trials_to_run(), trials)) as runs:
+    with closing(_runs_in_order(valid, trial, trials)) as runs:
         for (costs, tort), result in runs:
             if not tort.activated:
                 identical += 1
@@ -362,15 +385,14 @@ def curve_sweep(
     valid.require_both_classes()
     test.require_both_classes()
     grid = default_sweep_grid() if grid is None else list(grid)
-    seeds = np.random.SeedSequence(seed)
+    entropy = np.random.SeedSequence(seed).entropy
 
-    def runs_to_make():
-        for k in grid:
-            moba_seed = int(seeds.spawn(1)[0].generate_state(1, np.uint64)[0])
-            yield k, replace(cfg, p_max=k, n_max=k, seed=moba_seed)
+    def grid_point(i: int):
+        state = np.random.SeedSequence(entropy, spawn_key=(i,)).generate_state(1, np.uint64)
+        return grid[i], replace(cfg, p_max=grid[i], n_max=grid[i], seed=int(state[0]))
 
     points: list[CurvePoint] = []
-    with closing(_runs_in_order(valid, runs_to_make(), len(grid))) as runs:
+    with closing(_runs_in_order(valid, grid_point, len(grid))) as runs:
         for k, result in runs:
             ba = ba_optimize(valid, k)
             best = select_best_under_cap(result.pareto, metric, max_rpr=k, max_rnr=k)

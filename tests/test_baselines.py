@@ -71,16 +71,17 @@ def brute_force_ba(data, k_max, cfn, cfp):
     return best
 
 
-def brute_force_min_cost(data, costs, priors):
+def brute_force_min_cost(data, costs, priors, single_cuts=False):
     """Independent oracle: the least expected cost over every ordered pair of
-    candidate cuts (t1 <= t2), counted example by example."""
+    candidate cuts (t1 <= t2), or over every single cut (t1 = t2), counted
+    example by example."""
     scores = data.scores.tolist()
     labels = data.labels.tolist()
     s = sorted(set(scores))
     cands = [s[0] - 1.0] + [(a + b) / 2 for a, b in zip(s, s[1:])] + [s[-1] + 1.0]
     best = None
     for i, t1 in enumerate(cands):
-        for t2 in cands[i:]:
+        for t2 in cands[i : i + 1] if single_cuts else cands[i:]:
             tp = fn = rp = fp = tn = rn = 0
             for sc, lb in zip(scores, labels):
                 if sc > t2:
@@ -483,6 +484,22 @@ class TestTortorella:
         priors = empirical_priors(data)
         brute = brute_force_min_cost(data, costs, priors)
         assert tortorella_optimize(data, costs, priors).cost == pytest.approx(brute, rel=1e-12, abs=1e-12)
+
+    @seed(20261020)
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(
+        tied_examples,
+        st.sampled_from(sorted(builtin_cost_models())),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_cost_is_exactly_the_minimum_over_its_search_space(self, example_lists, model, draw_seed):
+        # the same float expression over every ordered cut pair when the reject
+        # option is activated, over every single cut when it is not
+        data = tied_dataset(*example_lists)
+        costs = sample_cost_matrix(builtin_cost_models()[model], np.random.default_rng(draw_seed))
+        priors = empirical_priors(data)
+        res = tortorella_optimize(data, costs, priors)
+        assert res.cost == brute_force_min_cost(data, costs, priors, single_cuts=not res.activated)
 
 
 @pytest.mark.filterwarnings("error")

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import rejectopt
-from rejectopt.cli import _invoked_command, _read_record, build_parser, main
+from rejectopt.cli import _cut, _invoked_command, _read_record, build_parser, main
 from rejectopt.data import ScoredDataset, load_scored_csv, synth_two_gaussian, write_scored_csv
 from rejectopt.metrics import (
     ClassPriors,
@@ -38,6 +39,32 @@ def scores_csv(tmp_path_factory):
 
 def run(*argv):
     return main(list(argv))
+
+
+def test_huge_thresholds_print_in_exponent_form(tmp_path, capsys):
+    # fixed point would print a cut near the float limit with ~309 digits
+    assert (_cut(-2.5), _cut(999_999.0), _cut(-math.inf)) == ("-2.500000", "999999.000000", "-inf")
+    assert (_cut(1e15), _cut(-3e300)) == ("1.000000e+15", "-3.000000e+300")
+    top = sys.float_info.max
+    path, out = tmp_path / "huge.csv", tmp_path / "run"
+    write_scored_csv(ScoredDataset([top, top / 2, 1, -1, 0, 2], [1, 1, 1, -1, -1, -1]), path)
+    assert run(
+        "optimize", "--scores", str(path), "--pmax", "0", "--nmax", "0",
+        "--popsize", "4", "--gensize", "3", "--out", str(out),
+    ) == 0
+    lines = (out / "pareto.txt").read_text().splitlines()
+    assert len(lines) > 2 and "e+307" in lines[2]
+    assert max(map(len, lines)) <= 80
+    assert run(
+        "select", "--pareto", str(out / "pareto.json"), "--mode", "best-metric",
+        "--metric", "auc", "--out", str(tmp_path / "sel"),
+    ) == 0
+    assert run(
+        "baseline", "--model", "tortorella", "--scores", str(path), "--out", str(tmp_path / "b"),
+        "--ctp", "0", "--ctn", "0", "--cfp", "5", "--cfn", "5", "--crp", "1", "--crn", "1",
+    ) == 0
+    printed = capsys.readouterr().out
+    assert "e+307" in printed.splitlines()[-1] and not re.search(r"\d{20}", printed)
 
 
 class TestOptimize:
@@ -621,6 +648,32 @@ def test_import_leaves_the_process_pool_unloaded():
         check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+_BOTH_PROTOCOLS_ON_TWO_CPUS = """
+import sys
+import rejectopt.cli as cli
+import rejectopt.harness as harness
+
+harness._usable_cpus = lambda: 2
+common = ["--scores", sys.argv[1], "--out", sys.argv[2], "--popsize", "4", "--gensize", "2"]
+assert cli.main(["compare-costs", *common, "--cost-model", "cm4", "--trials", "4"]) == 0
+assert cli.main(["curves", *common]) == 0
+print(sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules)))
+"""
+
+
+def test_protocols_fork_their_workers_without_a_process_pool(scores_csv, tmp_path):
+    src = str(Path(rejectopt.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _BOTH_PROTOCOLS_ON_TWO_CPUS, scores_csv, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "comparison.csv").exists() and (tmp_path / "curves.csv").exists()
 
 
 COMMANDS = ["optimize", "baseline", "compare-costs", "curves", "select"]
