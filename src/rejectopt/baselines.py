@@ -82,7 +82,11 @@ def candidate_thresholds(data: ScoredDataset) -> np.ndarray:
     upper score or overflows falls back to the lower score, and a sentinel
     that ``s ± 1`` cannot move steps one float outward.
     """
-    s = np.unique(data.scores)
+    # np.unique's own steps for 1-d input without NaN, minus its numpy.ma import
+    s = np.sort(data.scores)
+    first = np.ones(s.shape, dtype=bool)
+    first[1:] = s[1:] != s[:-1]
+    s = s[first]
     lo, hi = s[:-1], s[1:]
     with np.errstate(over="ignore"):
         mids = (lo + hi) / 2.0

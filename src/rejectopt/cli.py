@@ -114,10 +114,10 @@ def _cost_matrix(args) -> CostMatrix:
         raise UsageError(str(e)) from None
 
 
-def _cut(t: float) -> str:
-    """A threshold as text: 6 decimals, or exponent form from 1e15 on, where
-    fixed point would print up to 309 digits."""
-    return f"{t:.6f}" if abs(t) < 1e15 else f"{t:.6e}"
+def _num(x: float) -> str:
+    """A threshold, cost or objective as text: 6 decimals, or exponent form
+    from 1e15 on, where fixed point would print up to 309 digits."""
+    return f"{x:.6f}" if abs(x) < 1e15 else f"{x:.6e}"
 
 
 def _pareto_table(doc: dict) -> str:
@@ -125,7 +125,7 @@ def _pareto_table(doc: dict) -> str:
     lines = [header, "-" * len(header)]
     for s in doc["solutions"]:
         lines.append(
-            f"{_cut(s['t1']):>12} {_cut(s['t2']):>12} {s['fpr']:>8.4f} {s['fnr']:>8.4f} "
+            f"{_num(s['t1']):>12} {_num(s['t2']):>12} {s['fpr']:>8.4f} {s['fnr']:>8.4f} "
             f"{s['rpr']:>8.4f} {s['rnr']:>8.4f}"
         )
     return "\n".join(lines) + "\n"
@@ -163,8 +163,9 @@ def cmd_baseline(args) -> int:
         }
         status = "activated" if res.activated else "not activated (t1 = t2)"
         summary = (
-            f"tortorella: {status}; thresholds ({_cut(res.thresholds.t1)}, "
-            f"{_cut(res.thresholds.t2)}); cost {res.cost:.6f}; rpr {res.rpr:.4f}; rnr {res.rnr:.4f}"
+            f"tortorella: {status}; thresholds ({_num(res.thresholds.t1)}, "
+            f"{_num(res.thresholds.t2)}); cost {_num(res.cost)}; "
+            f"rpr {res.rpr:.4f}; rnr {res.rnr:.4f}"
         )
     else:
         if args.kmax is None:
@@ -190,8 +191,8 @@ def cmd_baseline(args) -> int:
             },
         }
         summary = (
-            f"ba: thresholds ({_cut(res.thresholds.t1)}, {_cut(res.thresholds.t2)}); "
-            f"objective {res.objective:.6f}; rej {res.rej:.4f} (cap {args.kmax})"
+            f"ba: thresholds ({_num(res.thresholds.t1)}, {_num(res.thresholds.t2)}); "
+            f"objective {_num(res.objective)}; rej {res.rej:.4f} (cap {args.kmax})"
         )
     t = res.thresholds
     doc["solutions"] = [solution_record(SolutionEval.from_counts(t, classify_with_rejection(data, t)))]
@@ -359,7 +360,7 @@ def cmd_select(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "selection.json"), out_doc)
     print(
-        f"selected ({_cut(best.thresholds.t1)}, {_cut(best.thresholds.t2)}) "
+        f"selected ({_num(best.thresholds.t1)}, {_num(best.thresholds.t2)}) "
         f"by {rationale['mode']}"
     )
     return 0

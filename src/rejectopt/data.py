@@ -18,6 +18,9 @@ POSITIVE = 1
 NEGATIVE = -1
 
 _CSV_HEADER = "id,label,score"
+# Scores are parsed in blocks that end at the first LF at or after this many
+# characters, so the loader holds one block's cells at a time, not the file's.
+_BLOCK_CHARS = 1 << 14
 
 
 class ScoresCsvError(ValueError):
@@ -111,11 +114,18 @@ def load_scored_csv(path) -> ScoredDataset:
     labels = _bulk_labels(np.frombuffer(raw, dtype=np.uint8)[len(_CSV_HEADER) + 1 :])
     del raw
     if labels is not None:
-        # Every row is id,label,score, so with the header's three cells first
-        # the scores are every third cell from the sixth on.
-        cells = text.replace("\n", ",").split(",")[5::3]
+        scores = np.empty(labels.size)
+        row, start = 0, len(_CSV_HEADER) + 1
         try:
-            scores = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+            while start < len(text):
+                end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+                # A block holds whole id,label,score rows, so its scores are
+                # every third cell from the third on.
+                cells = text[start:end].replace("\n", ",").split(",")[2::3]
+                scores[row : row + len(cells)] = np.fromiter(
+                    map(float, cells), dtype=np.float64, count=len(cells)
+                )
+                row, start = row + len(cells), end
         except ValueError:
             pass  # reported below with its row number
         else:

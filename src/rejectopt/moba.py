@@ -113,7 +113,7 @@ class GenerationStats:
 
 @dataclass
 class EvolveResult:
-    pareto: list[SolutionEval]  # the final first front, all feasible, population order
+    pareto: list[SolutionEval]  # final first front, each pair once, all feasible, population order
     generations: list[GenerationStats]
     config: MobaConfig
     crossover_fallbacks: int = 0  # mating pairs with a child that fell back
@@ -427,7 +427,8 @@ def evolve(valid: ScoredDataset, cfg: MobaConfig) -> EvolveResult:
         c_objs, c_feas = evaluate_batch(c1, c2, valid, p_max, n_max)
         t1, t2, objs, feas = t1 + c1, t2 + c2, objs + c_objs, feas + c_feas
 
-    front = [(a, b) for a, b, r in zip(t1, t2, rank) if r == 0]
+    # survivors can repeat a pair; the Pareto set lists each classifier once
+    front = list(dict.fromkeys((a, b) for a, b, r in zip(t1, t2, rank) if r == 0))
     counts = zip(*(c.tolist() for c in confusion_counts(valid, *zip(*front))))
     pareto = [
         SolutionEval.from_counts(ThresholdPair(*t), RejectionConfusion(*c))

@@ -213,6 +213,27 @@ _MAX = float(np.finfo(np.float64).max)
 ba_costs = st.one_of(st.sampled_from([0.0, 0.1, 0.3, 0.7]), st.floats(0.01, 10.0))
 
 
+def unique_candidate_thresholds(data):
+    """``candidate_thresholds`` on ``np.unique``'s distinct scores: the
+    reference for its numpy.ma-free distinct step."""
+    s = np.unique(data.scores)
+    lo, hi = s[:-1], s[1:]
+    with np.errstate(over="ignore"):
+        mids = (lo + hi) / 2.0
+        below = np.minimum(s[0] - 1.0, np.nextafter(s[0], -np.inf))
+        above = np.maximum(s[-1] + 1.0, np.nextafter(s[-1], np.inf))
+    mids = np.where((lo <= mids) & (mids < hi), mids, lo)
+    return np.concatenate(([below], mids, [above]))
+
+
+# signed zeros, subnormals, adjacent floats and the float limits
+_TIE_SCORES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-323, 2.2250738585072014e-308, 1.0, -1.0,
+    float(np.nextafter(1.0, 2.0)), float(np.nextafter(1.0, 0.0)), _MAX, -_MAX,
+    float(np.nextafter(_MAX, 0.0)),
+]
+
+
 def extreme_scores(base, steps, mode):
     """Scores at a huge magnitude: adjacent floats, or a spread of multiples."""
     out = []
@@ -287,6 +308,23 @@ class TestRocPoints:
         assert (fp[-1], tp[-1]) == (data.n_neg, data.n_pos)
         assert (fp.tolist(), tp.tolist(), cuts.tolist()) == loop_roc_points(data)
         assert rocch(fp, tp).tolist() == brute_hull(fp, tp)
+
+    @seed(20261020)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(_TIE_SCORES), st.floats(allow_nan=False, allow_infinity=False)
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @example([0.0, -0.0, 0.0, -0.0])
+    @example([-0.0, 5e-324, 0.0, -5e-324, -0.0])
+    def test_distinct_scores_match_unique(self, scores):
+        data = ScoredDataset(scores, [1] * len(scores))
+        assert candidate_thresholds(data).tobytes() == unique_candidate_thresholds(data).tobytes()
 
     def test_ordinary_cuts_unchanged(self):
         data = synth_two_gaussian(30, 30, 0.5, -0.5, 1.0, seed=4)

@@ -15,7 +15,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import rejectopt
-from rejectopt.cli import _cut, _invoked_command, _read_record, build_parser, main
+from rejectopt.cli import _invoked_command, _num, _read_record, build_parser, main
 from rejectopt.data import ScoredDataset, load_scored_csv, synth_two_gaussian, write_scored_csv
 from rejectopt.metrics import (
     ClassPriors,
@@ -43,8 +43,8 @@ def run(*argv):
 
 def test_huge_thresholds_print_in_exponent_form(tmp_path, capsys):
     # fixed point would print a cut near the float limit with ~309 digits
-    assert (_cut(-2.5), _cut(999_999.0), _cut(-math.inf)) == ("-2.500000", "999999.000000", "-inf")
-    assert (_cut(1e15), _cut(-3e300)) == ("1.000000e+15", "-3.000000e+300")
+    assert (_num(-2.5), _num(999_999.0), _num(-math.inf)) == ("-2.500000", "999999.000000", "-inf")
+    assert (_num(1e15), _num(-3e300)) == ("1.000000e+15", "-3.000000e+300")
     top = sys.float_info.max
     path, out = tmp_path / "huge.csv", tmp_path / "run"
     write_scored_csv(ScoredDataset([top, top / 2, 1, -1, 0, 2], [1, 1, 1, -1, -1, -1]), path)
@@ -65,6 +65,25 @@ def test_huge_thresholds_print_in_exponent_form(tmp_path, capsys):
     ) == 0
     printed = capsys.readouterr().out
     assert "e+307" in printed.splitlines()[-1] and not re.search(r"\d{20}", printed)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--model", "ba", "--kmax", "0.5", "--cfp", "1e300", "--cfn", "1e300"],
+        [
+            "--model", "tortorella", "--cfp=1e300", "--cfn=1e300", "--crp=1e299", "--crn=1e299",
+            "--ctp", "0", "--ctn", "0",
+        ],
+    ],
+)
+def test_huge_costs_print_in_exponent_form(tmp_path, capsys, flags):
+    # fixed point printed these summaries' cost or objective with ~300 digits
+    path = tmp_path / "overlap.csv"
+    write_scored_csv(ScoredDataset([0.9, 0.4, -0.2, 0.5, -0.6, 0.1], [1, 1, 1, -1, -1, -1]), path)
+    assert run("baseline", "--scores", str(path), "--out", str(tmp_path / "b"), *flags) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert len(line) <= 100 and "e+" in line and not re.search(r"\d{20}", line)
 
 
 class TestOptimize:
@@ -650,7 +669,7 @@ def test_import_leaves_the_process_pool_unloaded():
     assert done.stdout.strip() == "[]"
 
 
-_BOTH_PROTOCOLS_ON_TWO_CPUS = """
+_PROTOCOLS_ON_TWO_CPUS_AND_BASELINES = """
 import sys
 import rejectopt.cli as cli
 import rejectopt.harness as harness
@@ -659,21 +678,26 @@ harness._usable_cpus = lambda: 2
 common = ["--scores", sys.argv[1], "--out", sys.argv[2], "--popsize", "4", "--gensize", "2"]
 assert cli.main(["compare-costs", *common, "--cost-model", "cm4", "--trials", "4"]) == 0
 assert cli.main(["curves", *common]) == 0
-print(sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules)))
+costs = ["--ctp", "0", "--ctn", "0", "--cfp", "5", "--cfn", "4", "--crp", "1", "--crn", "1"]
+assert cli.main(["baseline", *common[:4], "--model", "tortorella", *costs]) == 0
+assert cli.main(["baseline", *common[:4], "--model", "ba", "--kmax", "0.2"]) == 0
+# np.unique would import numpy.ma on its first call in the process
+print(sorted({"multiprocessing", "concurrent.futures", "numpy.ma"} & set(sys.modules)))
 """
 
 
 def test_protocols_fork_their_workers_without_a_process_pool(scores_csv, tmp_path):
     src = str(Path(rejectopt.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", _BOTH_PROTOCOLS_ON_TWO_CPUS, scores_csv, str(tmp_path)],
+        [sys.executable, "-c", _PROTOCOLS_ON_TWO_CPUS_AND_BASELINES, scores_csv, str(tmp_path)],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         check=True,
     )
     assert done.stdout.splitlines()[-1] == "[]"
-    assert (tmp_path / "comparison.csv").exists() and (tmp_path / "curves.csv").exists()
+    for name in ("comparison.csv", "curves.csv", "baseline.json"):
+        assert (tmp_path / name).exists()
 
 
 COMMANDS = ["optimize", "baseline", "compare-costs", "curves", "select"]

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from rejectopt.cli import main
 from rejectopt.data import (
+    _BLOCK_CHARS,
     NEGATIVE,
     POSITIVE,
     ScoredDataset,
@@ -191,6 +193,69 @@ class TestLoadScoredCsv:
         path = tmp_path_factory.getbasetemp() / "differential.csv"
         path.write_bytes(raw)
         assert load_outcome(load_scored_csv, path) == load_outcome(reference_load_scored_csv, path)
+
+
+def multi_block_file(path, pad=0, edits=(), end="\n", crlf=False):
+    """2 500 rows over several parse blocks: the first row's id is ``pad``
+    characters long, ``edits`` maps row numbers to replacement rows, and the
+    rows end in CR LF when ``crlf``. Row 7's id is two-byte UTF-8, so later
+    character offsets differ from byte offsets."""
+    rows = {i: f"{i},{'+1' if i % 3 else '-1'},{i / 7!r}" for i in range(1, 2501)}
+    rows[1] = "x" * pad + ",-1,0.5"
+    rows[7] = "\u00e9\u00e9,+1,0.25"
+    rows.update(edits)
+    text = "id,label,score\n" + ("\r\n" if crlf else "\n").join(rows.values()) + end
+    assert len(text) > 3 * _BLOCK_CHARS
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+class TestLoadScoredCsvInBlocks:
+    """Files longer than one parse block load as the row-by-row reference does."""
+
+    def test_every_alignment_of_a_crlf_row_at_a_block_edge(self, tmp_path):
+        # a CRLF row is at most 28 characters, so padding the first id by 0..28
+        # puts each character of the row that straddles an edge on the edge
+        for pad in range(29):
+            path = multi_block_file(tmp_path / f"pad{pad}.csv", pad=pad, crlf=True)
+            outcome = load_outcome(load_scored_csv, path)
+            assert outcome == load_outcome(reference_load_scored_csv, path)
+            assert len(outcome[3]) == 2500
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ({2400: "2400,+1"}, "line 2400: expected 3 fields"),
+            ({2400: "2400,+1,abc"}, "line 2400: score is not a decimal literal"),
+            ({2400: "2400,-1,inf"}, "line 2400: score is not finite"),
+            ({2000: "2000,-1,1e309", 2400: "2400,+1"}, "line 2000: score is not finite"),
+            ({2400: "2400,+1,\u0661.\u0662", 2401: "2401,-1,\u0663_\u0664"}, None),
+        ],
+        ids=["malformed", "not_a_literal", "not_finite", "first_bad_row", "non_ascii_digits"],
+    )
+    @pytest.mark.parametrize("end", ["\n", ""], ids=["final_lf", "no_final_lf"])
+    def test_later_block_rows(self, tmp_path, edits, message, end):
+        path = multi_block_file(tmp_path / "later.csv", edits=edits, end=end)
+        outcome = load_outcome(load_scored_csv, path)
+        assert outcome == load_outcome(reference_load_scored_csv, path)
+        if message is None:
+            assert load_scored_csv(path).scores[2399:2401].tolist() == [1.2, 34.0]
+        else:
+            assert outcome == (ScoresCsvError, f"malformed row at {message}")
+
+    def test_memory_of_a_large_load(self, tmp_path):
+        # the file's text and bytes, the row check's arrays and one block of
+        # cells: about 10.4 MiB here, against 25.1 MiB when all cells were split at once
+        path = tmp_path / "large.csv"
+        write_scored_csv(synth_two_gaussian(50_000, 50_000, 1.0, -1.0, 1.0, seed=3), path)
+        tracemalloc.start()
+        try:
+            data = load_scored_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(data) == 100_000
+        assert peak <= 12 * 2**20
 
 
 class TestScoresCsvThroughCli:

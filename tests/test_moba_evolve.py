@@ -107,6 +107,15 @@ class TestEvolve:
         res = evolve(valid, MobaConfig(p_max=0.1, n_max=0.1, seed=1))
         assert 1 <= len(res.pareto) <= 20
 
+    def test_pareto_lists_each_pair_once(self):
+        # survivor selection keeps copies of a pair: at caps 0.1, half of these
+        # runs once exported 25 duplicates among their 800 members
+        data = synth_two_gaussian(100, 100, 1, -1, 1, seed=7)
+        for run_seed in range(40):
+            res = evolve(data, MobaConfig(p_max=0.1, n_max=0.1, seed=run_seed))
+            pairs = [s.thresholds.as_tuple() for s in res.pareto]
+            assert len(set(pairs)) == len(pairs), run_seed
+
     def test_vacuous_caps_all_feasible(self, valid):
         cfg = MobaConfig(p_max=1.0 - 1e-9, n_max=1.0 - 1e-9, popsize=12, gensize=10, seed=2)
         res = evolve(valid, cfg)
