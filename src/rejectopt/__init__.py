@@ -10,19 +10,13 @@ curve sweeps are included.
 """
 
 from .baselines import (
-    ActivationCheck,
-    BaResult,
-    TortorellaResult,
     ba_optimize,
-    candidate_thresholds,
     check_reject_activation,
     roc_points,
     rocch,
     tortorella_optimize,
 )
 from .data import (
-    NEGATIVE,
-    POSITIVE,
     ScoredDataset,
     ScoresCsvError,
     SplitSpec,
@@ -32,9 +26,6 @@ from .data import (
     write_scored_csv,
 )
 from .harness import (
-    ComparisonCounts,
-    CostModelSpec,
-    CurvePoint,
     NoEligibleSolutionError,
     builtin_cost_models,
     cost_comparison_experiment,
@@ -43,14 +34,10 @@ from .harness import (
     sample_cost_matrix,
     select_best_under_cap,
     select_min_cost,
-    write_comparison_csv,
     write_curve_csv,
 )
 from .metrics import (
-    ClassPriors,
     CostMatrix,
-    EssentialMetrics,
-    RejectionConfusion,
     SolutionEval,
     ThresholdPair,
     classify_with_rejection,
@@ -60,15 +47,10 @@ from .metrics import (
 )
 from .moba import (
     EvolveResult,
-    GenerationStats,
     MobaConfig,
-    crowding_distance_assignment,
     evolve,
-    fast_nondominated_sort,
     hypervolume_2d,
     pareto_document,
-    polynomial_mutation,
-    sbx_crossover,
 )
 
 __version__ = "0.1.0"

@@ -221,7 +221,7 @@ def cmd_compare_costs(args) -> int:
         joint_correct=args.joint_correct_costs,
     )
     os.makedirs(args.out, exist_ok=True)
-    write_comparison_csv(os.path.join(args.out, "comparison.csv"), [(args.cost_model, counts)])
+    write_comparison_csv(os.path.join(args.out, "comparison.csv"), args.cost_model, counts)
     print(args.cost_model)
     print(f"  lower     {counts.lower}")
     print(f"  higher    {counts.higher}")

@@ -8,13 +8,13 @@ the k-th child ``spawn`` gives, so any process can describe run k by itself.
 Its ``generate_state(2)`` yields the cost-sampler seed and the optimizer
 seed. Trials are therefore independent and reproducible in any order.
 
-That is what lets the optimizer runs go to worker processes: one per CPU in
-the process's affinity mask, forked, capped at the number of runs. A worker
-inherits the tuning set and describes its own runs, cost sampling and the
-hull baseline included; the calling process describes each again as it
-consumes it, in trial (or grid) order, so every output is the same as from
-one CPU. With one usable CPU or one run, or where processes cannot be
-forked, the runs go in-process.
+That is what lets the runs go to worker processes: one per CPU in the
+process's affinity mask, forked, capped at the number of runs. Each worker
+inherits the tuning and test sets and runs every W-th trial (or grid point)
+whole, from cost sampling to test-set scoring, and sends back only its
+outcome. The calling process takes the outcomes in trial (or grid) order,
+so every output is the same as from one CPU. With one usable CPU or one
+run, or where processes cannot be forked, the runs go in-process.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ import os
 import pickle
 import signal
 import traceback
+from collections import Counter
 from collections.abc import Callable, Iterator
 from contextlib import closing, suppress
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .metrics import (
     essential_metrics,
     expected_cost,
 )
-from .moba import EvolveResult, MobaConfig, evolve
+from .moba import MobaConfig, evolve
 
 CostEntry = float | tuple[float, float]  # fixed value or uniform range [a, b]
 
@@ -221,11 +222,11 @@ def _end_with_parent(parent: int) -> None:
         os._exit(1)
 
 
-def _record(valid: ScoredDataset, cfg: MobaConfig) -> bytes:
-    """One run as a pickled ``(ok, result or exception)``; an exception that
+def _record(run: Callable[[int], object], k: int) -> bytes:
+    """``run(k)`` as a pickled ``(ok, value or exception)``; an exception that
     does not survive pickling goes as a RuntimeError carrying its text."""
     try:
-        return pickle.dumps((True, evolve(valid, cfg)))
+        return pickle.dumps((True, run(k)))
     except Exception as e:
         if hasattr(e, "add_note"):  # Python 3.11+: re-raised, it shows where it arose
             e.add_note(f"in worker {os.getpid()}: {traceback.format_exc()}")
@@ -236,24 +237,19 @@ def _record(valid: ScoredDataset, cfg: MobaConfig) -> bytes:
         return data
 
 
-def _runs_in_order(
-    valid: ScoredDataset, job: Callable[[int], tuple[object, MobaConfig | None]], n_jobs: int
-) -> Iterator[tuple[object, EvolveResult | None]]:
-    """Yield ``(item, evolve(valid, cfg))`` for ``item, cfg = job(k)``, k =
-    0 .. ``n_jobs - 1`` in order; a ``cfg`` of None yields None. ``job``
-    must be a pure function of k.
+def _in_order(run: Callable[[int], object], n: int) -> Iterator[object]:
+    """Yield ``run(k)`` for k = 0 .. ``n - 1`` in order; ``run`` must be a
+    pure function of k whose value pickles.
 
-    W = min(usable CPUs, ``n_jobs``) workers forked here do the runs (with
-    W < 2 they run here as consumed): worker w runs each k = w (mod W) in
-    turn and writes its ``_record`` to its own pipe, which holds it back
-    when full. A run's exception is re-raised at its turn; closing the
-    generator, an error or an interrupt kills and reaps every worker.
+    W = min(usable CPUs, ``n``) workers forked here compute the values (with
+    W < 2 they are computed here as consumed): worker w computes each k = w
+    (mod W) in turn and writes its ``_record`` to its own pipe, which holds
+    it back when full. A run's exception is re-raised at its turn; closing
+    the generator, an error or an interrupt kills and reaps every worker.
     """
-    workers = min(_usable_cpus(), n_jobs)
+    workers = min(_usable_cpus(), n)
     if workers < 2:
-        for k in range(n_jobs):
-            item, cfg = job(k)
-            yield item, (None if cfg is None else evolve(valid, cfg))
+        yield from map(run, range(n))
         return
     parent, pids, pipes = os.getpid(), [], []
     try:
@@ -264,19 +260,14 @@ def _runs_in_order(
                 if (pid := os.fork()) == 0:  # the worker, which never returns
                     try:
                         _end_with_parent(parent)
-                        for k in range(w, n_jobs, workers):
-                            if (cfg := job(k)[1]) is not None:
-                                out.write(_record(valid, cfg))
-                                out.flush()
+                        for k in range(w, n, workers):
+                            out.write(_record(run, k))
+                            out.flush()
                         os._exit(0)
                     finally:
                         os._exit(1)
             pids.append(pid)
-        for k in range(n_jobs):
-            item, cfg = job(k)
-            if cfg is None:
-                yield item, None
-                continue
+        for k in range(n):
             try:
                 ok, value = pickle.load(pipes[k % workers])
             except EOFError:
@@ -285,7 +276,7 @@ def _runs_in_order(
                 raise RuntimeError(f"worker {pid} ended early, exit status {status}") from None
             if not ok:
                 raise value
-            yield item, value
+            yield value
     finally:
         for pid in pids:
             with suppress(ProcessLookupError, ChildProcessError):
@@ -322,36 +313,32 @@ def cost_comparison_experiment(
     priors_test = empirical_priors(test)
     entropy = np.random.SeedSequence(seed).entropy
 
-    def trial(k: int):
+    def trial(k: int) -> str:
         state = np.random.SeedSequence(entropy, spawn_key=(k,)).generate_state(2, np.uint64)
         cost_rng = np.random.default_rng(int(state[0]))
         costs = sample_cost_matrix(spec, cost_rng, joint_correct=joint_correct)
         tort = tortorella_optimize(valid, costs, priors_valid)
-        trial_cfg = None
-        if tort.activated:
-            trial_cfg = replace(cfg, p_max=tort.rpr, n_max=tort.rnr, seed=int(state[1]))
-        return (costs, tort), trial_cfg
+        if not tort.activated:
+            return "not_activated"
+        result = evolve(valid, replace(cfg, p_max=tort.rpr, n_max=tort.rnr, seed=int(state[1])))
+        best = select_min_cost(result.pareto, costs, priors_valid)
+        moba_cost, tort_cost = (
+            expected_cost(m, priors_test, costs)
+            for m in _test_metrics(test, best.thresholds, tort.thresholds)
+        )
+        if moba_cost < tort_cost - _COST_TIE_TOL:
+            return "lower"
+        if moba_cost > tort_cost + _COST_TIE_TOL:
+            return "higher"
+        return "identical"
 
-    lower = higher = identical = not_activated = 0
-    with closing(_runs_in_order(valid, trial, trials)) as runs:
-        for (costs, tort), result in runs:
-            if not tort.activated:
-                identical += 1
-                not_activated += 1
-                continue
-            best = select_min_cost(result.pareto, costs, priors_valid)
-            moba_cost, tort_cost = (
-                expected_cost(m, priors_test, costs)
-                for m in _test_metrics(test, best.thresholds, tort.thresholds)
-            )
-            if moba_cost < tort_cost - _COST_TIE_TOL:
-                lower += 1
-            elif moba_cost > tort_cost + _COST_TIE_TOL:
-                higher += 1
-            else:
-                identical += 1
+    with closing(_in_order(trial, trials)) as outcomes:
+        tally = Counter(outcomes)
     return ComparisonCounts(
-        lower=lower, higher=higher, identical=identical, not_activated=not_activated
+        lower=tally["lower"],
+        higher=tally["higher"],
+        identical=tally["identical"] + tally["not_activated"],
+        not_activated=tally["not_activated"],
     )
 
 
@@ -387,18 +374,17 @@ def curve_sweep(
     grid = default_sweep_grid() if grid is None else list(grid)
     entropy = np.random.SeedSequence(seed).entropy
 
-    def grid_point(i: int):
+    def grid_point(i: int) -> tuple[CurvePoint, CurvePoint]:
+        k = grid[i]
         state = np.random.SeedSequence(entropy, spawn_key=(i,)).generate_state(1, np.uint64)
-        return grid[i], replace(cfg, p_max=grid[i], n_max=grid[i], seed=int(state[0]))
+        result = evolve(valid, replace(cfg, p_max=k, n_max=k, seed=int(state[0])))
+        ba = ba_optimize(valid, k)
+        best = select_best_under_cap(result.pareto, metric, max_rpr=k, max_rnr=k)
+        m_ba, m_moba = _test_metrics(test, ba.thresholds, best.thresholds)
+        return _curve_point(k, "moba", m_moba), _curve_point(k, "ba", m_ba)
 
-    points: list[CurvePoint] = []
-    with closing(_runs_in_order(valid, grid_point, len(grid))) as runs:
-        for k, result in runs:
-            ba = ba_optimize(valid, k)
-            best = select_best_under_cap(result.pareto, metric, max_rpr=k, max_rnr=k)
-            m_ba, m_moba = _test_metrics(test, ba.thresholds, best.thresholds)
-            points.append(_curve_point(k, "moba", m_moba))
-            points.append(_curve_point(k, "ba", m_ba))
+    with closing(_in_order(grid_point, len(grid))) as runs:
+        points = [p for pair in runs for p in pair]
     points.sort(key=lambda p: (p.reject_param, p.model))
     return points
 
@@ -407,17 +393,16 @@ def _fmt(value: float | None) -> str:
     return "nan" if value is None else repr(value)
 
 
-def write_comparison_csv(path, rows: list[tuple[str, ComparisonCounts]]) -> None:
-    lines = ["cost_model,lower,higher,identical,not_activated"]
-    for model_id, c in rows:
-        lines.append(f"{model_id},{c.lower},{c.higher},{c.identical},{c.not_activated}")
+def write_comparison_csv(path, cost_model: str, counts: ComparisonCounts) -> None:
+    row = ",".join(map(str, (cost_model, *astuple(counts))))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"cost_model,lower,higher,identical,not_activated\n{row}\n")
 
 
 def write_curve_csv(path, points: list[CurvePoint]) -> None:
+    """``points`` in the order ``curve_sweep`` returns them."""
     lines = ["reject_param,model,acc,auc,gmean,observed_rej"]
-    for p in sorted(points, key=lambda q: (q.reject_param, q.model)):
+    for p in points:
         lines.append(
             f"{p.reject_param!r},{p.model},{_fmt(p.acc)},{_fmt(p.auc)},"
             f"{_fmt(p.gmean)},{p.observed_rej!r}"

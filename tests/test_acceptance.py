@@ -14,6 +14,13 @@ import pytest
 
 import rejectopt as ro
 from rejectopt.cli import main as cli_main
+from rejectopt.metrics import ClassPriors, RejectionConfusion
+from rejectopt.moba import (
+    crowding_distance_assignment,
+    fast_nondominated_sort,
+    polynomial_mutation,
+    sbx_crossover,
+)
 
 
 def report(ok: bool, label: str) -> None:
@@ -123,7 +130,7 @@ def test_c02_sort_oracle():
     for _ in range(1000):
         n = int(rng.integers(1, 65))
         objs = [tuple(rng.uniform(0, 1, 2)) for _ in range(n)]
-        fast = [sorted(f) for f in ro.fast_nondominated_sort(objs)]
+        fast = [sorted(f) for f in fast_nondominated_sort(objs)]
         if fast != naive_sort(objs):
             mismatches += 1
     report(mismatches == 0, f"criterion 2 (sort oracle): {mismatches} mismatches in 1000 populations")
@@ -140,7 +147,7 @@ def test_c03_operator_algebra():
         us += [rng.random(), rng.random()]
     # NaN redraws fail, so every child that needed one falls back and is listed;
     # the mean is checked over the pairs crossed at their first try
-    c1, c2, fell = ro.sbx_crossover(
+    c1, c2, fell = sbx_crossover(
         t1, t2, [0.0] * 100_000, us, 20.0, 1.0, StubRng([math.nan], cycle=True)
     )
     redrawn = {i // 2 for i in fell}
@@ -153,12 +160,12 @@ def test_c03_operator_algebra():
         worst = max(worst, *drift)
     mean_ok = worst <= 1e-9 and len(redrawn) < 50_000
 
-    c1, c2, _ = ro.sbx_crossover(
+    c1, c2, _ = sbx_crossover(
         [0.11, 0.23], [0.42, 0.77], [0.0], [0.5, 0.5], 20.0, 0.9, StubRng([])
     )
     swap_ok = c1 == [0.23, 0.11] and c2 == [0.77, 0.42]
 
-    y1, y2, _ = ro.polynomial_mutation(
+    y1, y2, _ = polynomial_mutation(
         [0.3], [0.7], [0.0, 0.0], [0.5, 0.5], 1.0, 20.0, 0.0, 1.0, StubRng([])
     )
     identity_ok = (y1, y2) == ([0.3], [0.7])
@@ -167,7 +174,7 @@ def test_c03_operator_algebra():
     pairs = [np.sort(rng.uniform(lo, hi, 2)) for _ in range(5000)]
     pairs = [(float(a), float(b)) for a, b in pairs if a < b]
     us = rng.random(2 * len(pairs)).tolist()
-    y1, y2, _ = ro.polynomial_mutation(
+    y1, y2, _ = polynomial_mutation(
         [a for a, _ in pairs], [b for _, b in pairs], [0.0] * len(us), us, 1.0, 20.0, lo, hi, rng
     )
     bounds_ok = all(lo <= v <= hi for v in y1 + y2)
@@ -181,7 +188,7 @@ def test_c03_operator_algebra():
 
 def test_c04_crowding():
     """Criterion 4: exact distances and affine invariance of finite distances."""
-    d = ro.crowding_distance_assignment([(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)])
+    d = crowding_distance_assignment([(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)])
     exact_ok = math.isinf(d[0]) and d[1] == 2.0 and math.isinf(d[2])
 
     rng = np.random.default_rng(19)
@@ -191,14 +198,14 @@ def test_c04_crowding():
         n = int(rng.integers(3, 15))
         xs = np.sort(rng.uniform(0, 1, n))
         ys = np.sort(rng.uniform(0, 1, n))[::-1]
-        base = ro.crowding_distance_assignment([(float(x), float(y)) for x, y in zip(xs, ys)])
+        base = crowding_distance_assignment([(float(x), float(y)) for x, y in zip(xs, ys)])
         a, b = float(rng.uniform(0.1, 7)), float(rng.uniform(-5, 5))
         dim = int(rng.integers(0, 2))
         scaled_objs = [
             (a * x + b, y) if dim == 0 else (x, a * y + b)
             for x, y in ((float(x), float(y)) for x, y in zip(xs, ys))
         ]
-        scaled = ro.crowding_distance_assignment(scaled_objs)
+        scaled = crowding_distance_assignment(scaled_objs)
         for u, v in zip(base, scaled):
             if math.isinf(u) != math.isinf(v):
                 affine_ok = False
@@ -438,9 +445,9 @@ def test_c12_cost_homogeneity():
         counts = [int(x) for x in rng.integers(0, 50, 6)]
         if counts[0] + counts[1] + counts[2] == 0 or counts[3] + counts[4] + counts[5] == 0:
             continue
-        m = ro.essential_metrics(ro.RejectionConfusion(*counts))
+        m = ro.essential_metrics(RejectionConfusion(*counts))
         p = float(rng.uniform(0.05, 0.95))
-        priors = ro.ClassPriors(p, 1 - p)
+        priors = ClassPriors(p, 1 - p)
         costs = ro.CostMatrix(*(float(x) for x in rng.uniform(-10, 50, 6)))
         lam = float(rng.uniform(0.1, 4.0))
         diff = abs(

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from rejectopt import harness
 from rejectopt.cli import main as cli_main
 from rejectopt.data import synth_two_gaussian, write_scored_csv
 
@@ -80,6 +81,15 @@ def produce(name: str, workdir: Path) -> bytes:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(name, tmp_path):
+    assert produce(name, tmp_path) == (GOLDEN / name).read_bytes()
+
+
+# the protocols at other worker counts than this host's; at 3 workers the
+# 25 trials and the 15 grid points split unevenly
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("name", ["comparison.csv", "curves.csv"])
+def test_protocol_matches_golden_at_other_worker_counts(name, cpus, tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
     assert produce(name, tmp_path) == (GOLDEN / name).read_bytes()
 
 

@@ -224,6 +224,7 @@ class TestCostComparisonExperiment:
             return drawn[-1]
 
         monkeypatch.setattr(harness, "sample_cost_matrix", sample)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)  # sample in this process
         valid, test = splits
         spec = builtin_cost_models()["cm1"]
         cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=8, gensize=4)
@@ -281,7 +282,12 @@ class TestCurveSweep:
 
 
 class TestWorkerProcesses:
-    """The optimizer runs of both protocols go to forked worker processes."""
+    """Both protocols run each trial or grid point whole in a forked worker."""
+
+    STEPS = {
+        "compare-costs": {"sample_cost_matrix", "tortorella_optimize", "evolve", "select_min_cost"},
+        "curves": {"evolve", "ba_optimize", "select_best_under_cap"},
+    }
 
     @staticmethod
     def force_cpus(monkeypatch, n):
@@ -291,14 +297,19 @@ class TestWorkerProcesses:
 
     @staticmethod
     def record_pids(monkeypatch, path):
+        """Make each step of a run append ``<step> <pid>`` to ``path``."""
         import rejectopt.harness as harness
 
-        def evolve_recording_pid(valid, cfg):
-            with open(path, "a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()}\n")
-            return evolve(valid, cfg)
+        def recording(name, fn):
+            def step(*args, **kwargs):
+                with open(path, "a", encoding="utf-8") as fh:
+                    fh.write(f"{name} {os.getpid()}\n")
+                return fn(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "evolve", evolve_recording_pid)
+            return step
+
+        for name in set().union(*TestWorkerProcesses.STEPS.values()):
+            monkeypatch.setattr(harness, name, recording(name, getattr(harness, name)))
 
     @pytest.mark.parametrize("protocol", ["compare-costs", "curves"])
     def test_same_results_from_one_and_two_workers(self, splits, monkeypatch, tmp_path, protocol):
@@ -312,13 +323,17 @@ class TestWorkerProcesses:
                 )
             return curve_sweep(valid, test, cfg, seed=3, grid=[0.04, 0.12, 0.2, 0.28])
 
-        results, pids = [], []
+        results, steps, pids = [], [], []
         for n in (1, 2):
-            self.force_cpus(monkeypatch, n)
-            self.record_pids(monkeypatch, tmp_path / f"pids{n}")
-            results.append(run())
-            pids.append(set((tmp_path / f"pids{n}").read_text().split()))
+            with monkeypatch.context() as patch:
+                self.force_cpus(patch, n)
+                self.record_pids(patch, tmp_path / f"pids{n}")
+                results.append(run())
+            lines = [line.split() for line in (tmp_path / f"pids{n}").read_text().splitlines()]
+            steps.append({name for name, _ in lines})
+            pids.append({pid for _, pid in lines})
         assert results[0] == results[1]
+        assert steps[0] == steps[1] == self.STEPS[protocol]
         assert pids[0] == {str(os.getpid())}
         assert 1 <= len(pids[1]) <= 2 and str(os.getpid()) not in pids[1]
 
@@ -337,18 +352,29 @@ class TestWorkerProcesses:
         with pytest.raises(ValueError, match="run failed at 0.16"):
             curve_sweep(valid, test, cfg, seed=1, grid=[0.08, 0.12, 0.16, 0.2, 0.24, 0.28])
 
-    def test_error_in_the_caller_ends_the_workers(self, splits, monkeypatch):
+    @staticmethod
+    def slow_runs(monkeypatch):
+        """``_in_order`` over 40 slow runs on 2 workers, still busy when the
+        caller stops; the conftest guard then checks that both were reaped."""
         import rejectopt.harness as harness
 
-        def select_failing(*args, **kwargs):
-            raise ValueError("selection failed")
+        def run(k):
+            time.sleep(0.02)
+            return k
 
-        self.force_cpus(monkeypatch, 2)
-        monkeypatch.setattr(harness, "select_best_under_cap", select_failing)
-        valid, test = splits
-        cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=8, gensize=8)
-        with pytest.raises(ValueError, match="selection failed"):
-            curve_sweep(valid, test, cfg, seed=1, grid=[0.08, 0.12, 0.16, 0.2, 0.24, 0.28])
+        TestWorkerProcesses.force_cpus(monkeypatch, 2)
+        return harness._in_order(run, 40)
+
+    def test_error_in_the_caller_ends_the_workers(self, monkeypatch):
+        with pytest.raises(ValueError, match="caller failed"):
+            for k in self.slow_runs(monkeypatch):
+                assert k == 0
+                raise ValueError("caller failed")
+
+    def test_closing_the_runs_ends_the_workers(self, monkeypatch):
+        runs = self.slow_runs(monkeypatch)
+        assert next(runs) == 0
+        runs.close()
 
     @pytest.mark.parametrize(
         "failure, raised",
@@ -373,38 +399,6 @@ class TestWorkerProcesses:
         cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=8, gensize=8)
         with pytest.raises(RuntimeError, match=raised):
             curve_sweep(valid, test, cfg, seed=1, grid=[0.08, 0.12, 0.16, 0.2, 0.24, 0.28])
-
-    def test_sampling_stays_within_two_runs_per_worker_ahead(self, splits, monkeypatch):
-        # this process describes trial k only as it consumes it; the workers
-        # sample in their own copies, which these counters do not see
-        import rejectopt.harness as harness
-
-        valid, test = splits
-        fixed = evolve(valid, MobaConfig(p_max=0.5, n_max=0.5, popsize=8, gensize=4, seed=0))
-        sampled = counted = 0
-        leads = []
-
-        def sample(*args, **kwargs):
-            nonlocal sampled
-            sampled += 1
-            leads.append(sampled - counted)
-            return sample_cost_matrix(*args, **kwargs)
-
-        def select(*args, **kwargs):
-            nonlocal counted
-            counted += 1
-            return select_min_cost(*args, **kwargs)
-
-        self.force_cpus(monkeypatch, 2)
-        monkeypatch.setattr(harness, "evolve", lambda valid, cfg: fixed)
-        monkeypatch.setattr(harness, "sample_cost_matrix", sample)
-        monkeypatch.setattr(harness, "select_min_cost", select)
-        # fixed costs that activate the reject option in every trial
-        spec = CostModelSpec(ctp=-1.0, ctn=-1.0, cfp=100.0, cfn=100.0, crp=0.0, crn=0.0)
-        cfg = MobaConfig(p_max=0.5, n_max=0.5)
-        counts = cost_comparison_experiment(valid, test, spec, 40, cfg, seed=0)
-        assert counted == sampled == counts.total == 40 and counts.not_activated == 0
-        assert leads == [1] * 40
 
 
 _SWEEP_UNTIL_KILLED = """
@@ -471,7 +465,7 @@ class TestCsvWriters:
     def test_comparison_csv(self, tmp_path):
         path = tmp_path / "c.csv"
         counts = ComparisonCounts(lower=7, higher=2, identical=1, not_activated=1)
-        write_comparison_csv(path, [("cm1", counts)])
+        write_comparison_csv(path, "cm1", counts)
         assert path.read_text() == "cost_model,lower,higher,identical,not_activated\ncm1,7,2,1,1\n"
 
     def test_curve_csv_sorted_and_nan(self, tmp_path, splits):
