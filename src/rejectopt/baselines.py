@@ -3,8 +3,9 @@ with its reject-activation condition, and the bounded-abstention model.
 
 Both are solved exactly over candidate thresholds (midpoints between
 consecutive distinct scores plus below-min/above-max sentinels), which reach
-every achievable confusion matrix on a finite tuning set. The hull model
-evaluates all ordered hull-vertex pairs in one confusion-kernel call.
+every achievable confusion matrix on a finite tuning set; each cut's counts
+are read from the dataset's cut table. The hull model evaluates all ordered
+hull-vertex pairs in one confusion-kernel call.
 
 The ROC points are integer arrays of false- and true-positive counts, and
 the hull is exact: its turns are decided by integer cross products of
@@ -76,17 +77,13 @@ class BaResult:
 def candidate_thresholds(data: ScoredDataset) -> np.ndarray:
     """Ascending candidate cuts: midpoints of distinct scores plus sentinels.
 
-    Every cut keeps ``s_i <= cut_i < s_{i+1}`` over the distinct scores
-    ``s``, so consecutive cuts differ by at least one example, also at huge
-    magnitudes and between adjacent floats: a midpoint that rounds up to the
-    upper score or overflows falls back to the lower score, and a sentinel
-    that ``s ± 1`` cannot move steps one float outward.
+    Over the cut table's distinct scores ``s``, every cut keeps
+    ``s_{k-1} <= cut_k < s_k``, so cut k has the table's k-th counts, also at
+    huge magnitudes and between adjacent floats: a midpoint that rounds up to
+    the upper score or overflows falls back to the lower score, and a
+    sentinel that ``s ± 1`` cannot move steps one float outward.
     """
-    # np.unique's own steps for 1-d input without NaN, minus its numpy.ma import
-    s = np.sort(data.scores)
-    first = np.ones(s.shape, dtype=bool)
-    first[1:] = s[1:] != s[:-1]
-    s = s[first]
+    s = data.cut_table[0]
     lo, hi = s[:-1], s[1:]
     with np.errstate(over="ignore"):
         mids = (lo + hi) / 2.0
@@ -106,9 +103,9 @@ def roc_points(valid: ScoredDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray
     ``(fp, tp)``. The rates are ``fp / n_neg`` and ``tp / n_pos``.
     """
     valid.require_both_classes()
+    _, pos_le, neg_le = valid.cut_table
     cuts = candidate_thresholds(valid)[::-1]
-    tp, _, _, fp, _, _ = confusion_counts(valid, cuts, cuts)
-    return fp, tp, cuts
+    return valid.n_neg - neg_le[::-1], valid.n_pos - pos_le[::-1], cuts
 
 
 def _drop_below_chords(fp: np.ndarray, tp: np.ndarray) -> np.ndarray:
@@ -280,9 +277,9 @@ def ba_optimize(
     cands = candidate_thresholds(valid)
     k = cands.size
     # per-cut counts: a cut used as t1 fixes (fn, tn), used as t2 fixes (tp, fp)
-    tp, fn, _, fp, tn, _ = (
-        c.astype(np.float64) for c in confusion_counts(valid, cands, cands)
-    )
+    _, pos_le, neg_le = valid.cut_table
+    fn, tn = pos_le.astype(np.float64), neg_le.astype(np.float64)
+    tp, fp = valid.n_pos - fn, valid.n_neg - tn
     fn_tn = fn + tn
     tp_fp = tp + fp
     cfn_fn = cfn * fn

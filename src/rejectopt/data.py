@@ -31,8 +31,8 @@ class ScoredDataset:
     """Labeled examples, each carrying a positive-class confidence score.
 
     Backed by parallel numpy arrays (``scores`` float64, ``labels`` +1/-1
-    int64) in original row order. Per-class sorted score views are cached
-    because threshold evaluation reduces to binary searches on them.
+    int64) in original row order. Every confusion count is a lookup in one
+    cached table, :attr:`cut_table`.
     """
 
     def __init__(self, scores: Iterable[float], labels: Iterable[int]):
@@ -51,12 +51,18 @@ class ScoredDataset:
         return self.scores.shape[0]
 
     @cached_property
-    def pos_scores_sorted(self) -> np.ndarray:
-        return np.sort(self.scores[self.labels == POSITIVE])
-
-    @cached_property
-    def neg_scores_sorted(self) -> np.ndarray:
-        return np.sort(self.scores[self.labels == NEGATIVE])
+    def cut_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(distinct, pos_le, neg_le)``: the distinct scores ascending, each the
+        first of its run in ``np.sort`` order, and per k the positives and
+        negatives below ``distinct[k]``, then the class totals. These count at
+        or below candidate cut k, and at or below any threshold t for
+        ``k = distinct.searchsorted(t, side="right")``."""
+        s = np.sort(self.scores)
+        below = np.append(np.flatnonzero(np.append(True, s[1:] != s[:-1])), s.size)
+        distinct = s[below[:-1]]
+        pos = np.sort(self.scores[self.labels == POSITIVE])
+        pos_le = np.append(pos.searchsorted(distinct), self.n_pos)
+        return distinct, pos_le, below - pos_le
 
     def score_range(self) -> tuple[float, float]:
         if len(self) == 0:

@@ -156,30 +156,22 @@ def confusion_counts(data: ScoredDataset, t1s, t2s) -> tuple[np.ndarray, ...]:
     ``t1s`` and ``t2s`` are scalars or equal-shape arrays with t1 <= t2
     elementwise. Returns (tp, fn, rp, fp, tn, rn), each an int64 array (or
     numpy integer for scalar input) of the thresholds' shape, computed with
-    the same rule as :func:`classify_with_rejection`. Passing the same
-    object as ``t1s`` and ``t2s`` (single cuts, no rejection) searches each
-    class once instead of twice.
+    the same rule as :func:`classify_with_rejection`: each threshold is one
+    search into the dataset's distinct scores, and its per-class counts at
+    or below are read from :attr:`ScoredDataset.cut_table`.
     """
     if len(data) == 0:
         raise ValueError("dataset is empty")
-    single_cut = t2s is t1s
     t1s = np.asarray(t1s, dtype=np.float64)
-    t2s = t1s if single_cut else np.asarray(t2s, dtype=np.float64)
+    t2s = np.asarray(t2s, dtype=np.float64)
     if not (t1s <= t2s).all():  # also rejects NaNs
         raise ValueError("need t1 <= t2 for every pair")
-    pos = data.pos_scores_sorted
-    neg = data.neg_scores_sorted
-    fn = pos.searchsorted(t1s, side="right")
-    tn = neg.searchsorted(t1s, side="right")
-    if single_cut:
-        tp = pos.size - fn
-        fp = neg.size - tn
-    else:
-        tp = pos.size - pos.searchsorted(t2s, side="right")
-        fp = neg.size - neg.searchsorted(t2s, side="right")
-    rp = pos.size - tp - fn
-    rn = neg.size - fp - tn
-    return tp, fn, rp, fp, tn, rn
+    distinct, pos_le, neg_le = data.cut_table
+    i = distinct.searchsorted(t1s, side="right")
+    j = distinct.searchsorted(t2s, side="right")
+    fn, tn = pos_le[i], neg_le[i]
+    tp, fp = data.n_pos - pos_le[j], data.n_neg - neg_le[j]
+    return tp, fn, pos_le[j] - fn, fp, tn, neg_le[j] - tn
 
 
 def classify_with_rejection(data: ScoredDataset, t: ThresholdPair) -> RejectionConfusion:

@@ -353,7 +353,7 @@ def resolve_bounds(valid: ScoredDataset) -> tuple[float, float]:
         raise ValueError("degenerate score range: every tuning score is equal")
     if not math.isfinite(hi - lo):
         raise ValueError(
-            f"variable range ({lo}, {hi}) is too wide: its width overflows; rescale the scores"
+            f"score range ({lo:.6g}, {hi:.6g}): its width overflows; rescale the scores"
         )
     return lo, hi
 

@@ -5,12 +5,10 @@ re-derivations (direct counting, naive sorting, double-loop search); they
 never call the code path they check.
 """
 
-import json
 import math
 import time
 
 import numpy as np
-import pytest
 
 import rejectopt as ro
 from rejectopt.cli import main as cli_main

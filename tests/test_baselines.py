@@ -19,7 +19,6 @@ from rejectopt.baselines import (
 from rejectopt.data import ScoredDataset, synth_two_gaussian
 from rejectopt.harness import builtin_cost_models, sample_cost_matrix
 from rejectopt.metrics import (
-    ClassPriors,
     CostMatrix,
     RejectionConfusion,
     ThresholdPair,
@@ -101,8 +100,8 @@ def dense_ba(valid, k_max, cfn=1.0, cfp=1.0):
     """Dense k x k reference solver: every ordered candidate pair at once,
     ties resolved by a Python loop over the cells at the optimum."""
     cands = candidate_thresholds(valid)
-    pos = valid.pos_scores_sorted
-    neg = valid.neg_scores_sorted
+    pos = np.sort(valid.scores[valid.labels == 1])
+    neg = np.sort(valid.scores[valid.labels == -1])
     n_pos, n_neg = pos.size, neg.size
     total = n_pos + n_neg
 
@@ -140,8 +139,8 @@ def dense_ba(valid, k_max, cfn=1.0, cfp=1.0):
 
 def loop_roc_points(valid):
     """One binary search per candidate cut, descending."""
-    pos = valid.pos_scores_sorted
-    neg = valid.neg_scores_sorted
+    pos = np.sort(valid.scores[valid.labels == 1])
+    neg = np.sort(valid.scores[valid.labels == -1])
     cuts = candidate_thresholds(valid)[::-1]
     fp = [neg.size - int(np.searchsorted(neg, c, side="right")) for c in cuts]
     tp = [pos.size - int(np.searchsorted(pos, c, side="right")) for c in cuts]

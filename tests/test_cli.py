@@ -131,6 +131,19 @@ class TestOptimize:
         assert code == 2
         assert "overflows" in capsys.readouterr().err
 
+    def test_overflow_error_prints_short_bounds(self, tmp_path, capsys):
+        # both bounds printed with repr made this a 131-character line
+        big = float(np.finfo(np.float64).max)
+        path = tmp_path / "max.csv"
+        write_scored_csv(ScoredDataset([-big, -1.0, 1.0, big], [1, -1, 1, -1]), path)
+        code = run(
+            "optimize", "--scores", str(path), "--pmax", "0.5", "--nmax", "0.5",
+            "--out", str(tmp_path / "o"),
+        )
+        err = capsys.readouterr().err
+        assert code == 2 and "overflows" in err
+        assert all(len(line) <= 100 for line in err.splitlines())
+
     def test_no_feasible_exit_code(self, tmp_path):
         # dense evenly spaced scores plus near-zero caps: almost every random
         # pair rejects something, yet the search ends with a feasible front

@@ -24,9 +24,7 @@ from rejectopt.harness import (
     write_curve_csv,
 )
 from rejectopt.metrics import (
-    ClassPriors,
     CostMatrix,
-    ThresholdPair,
     classify_with_rejection,
     empirical_priors,
     essential_metrics,

@@ -19,6 +19,17 @@ from rejectopt.metrics import (
 )
 
 
+_MAX = float(np.finfo(np.float64).max)
+# signed zeros, the smallest subnormals, the float limits, and 1 between its neighbours
+_TIE_POOL = [
+    0.0, -0.0, 5e-324, -5e-324, _MAX, -_MAX, 1.0, math.nextafter(1.0, 0.0),
+    math.nextafter(1.0, 2.0),
+]
+_TIE_CUTS = [
+    t for v in _TIE_POOL for t in (v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf))
+] + [-math.inf, math.inf]
+
+
 def make_dataset(pairs):
     return ScoredDataset([s for s, _ in pairs], [l for _, l in pairs])
 
@@ -121,22 +132,33 @@ class TestConfusionCounts:
         with pytest.raises(ValueError, match="t1 <= t2"):
             confusion_counts(data, [float("nan")], [0.4])
 
-
     @seed(20261019)
     @settings(max_examples=200, deadline=None, database=None)
     @given(
-        st.lists(st.tuples(st.integers(0, 4), st.booleans()), min_size=1, max_size=40),
-        st.lists(st.integers(-1, 5).map(lambda v: v / 4), min_size=0, max_size=12),
+        st.lists(st.tuples(st.sampled_from(_TIE_POOL), st.booleans()), min_size=1, max_size=30),
+        st.lists(st.tuples(st.sampled_from(_TIE_CUTS), st.sampled_from(_TIE_CUTS)), max_size=8),
+        st.sampled_from(["pairs", "same array", "0-d", "same 0-d"]),
     )
-    def test_single_cuts_match_pairs_of_equal_cuts(self, examples, levels):
-        # tie-heavy: scores and cuts on the same few quarter steps
-        data = make_dataset([(v / 4, 1 if p else -1) for v, p in examples])
-        for cuts in (np.array(levels), np.array(levels[0] if levels else 0.5)):
-            same = confusion_counts(data, cuts, cuts)
-            copied = confusion_counts(data, cuts, cuts.copy())
-            for a, b in zip(same, copied):
-                assert type(a) is type(b) and a.dtype == b.dtype and a.shape == b.shape
-                assert np.array_equal(a, b)
+    def test_counts_match_direct_counting_on_ties(self, examples, pairs, form):
+        data = make_dataset([(v, 1 if p else -1) for v, p in examples])
+        t1s = np.array([min(a, b) for a, b in pairs])
+        t2s = np.array([max(a, b) for a, b in pairs])
+        if form.endswith("0-d"):
+            t1s, t2s = (np.array(t1s[0]), np.array(t2s[0])) if pairs else (np.array(1.0),) * 2
+        if form.startswith("same"):
+            t2s = t1s
+        counts = confusion_counts(data, t1s, t2s)
+        pos, neg = data.scores[data.labels == 1], data.scores[data.labels == -1]
+        for c in counts:
+            assert c.dtype == np.int64 and c.shape == t1s.shape
+            assert isinstance(c, np.ndarray if t1s.ndim else np.integer)
+        for k in np.ndindex(t1s.shape):
+            t1, t2 = t1s[k], t2s[k]
+            direct = [
+                (pos > t2).sum(), (pos <= t1).sum(), ((pos > t1) & (pos <= t2)).sum(),
+                (neg > t2).sum(), (neg <= t1).sum(), ((neg > t1) & (neg <= t2)).sum(),
+            ]
+            assert [int(c[k]) for c in counts] == [int(v) for v in direct]
 
 
 class TestEssentialMetrics:
