@@ -102,7 +102,6 @@ def roc_points(valid: ScoredDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray
     (below-min), and the points come lexicographically ascending in
     ``(fp, tp)``. The rates are ``fp / n_neg`` and ``tp / n_pos``.
     """
-    valid.require_both_classes()
     _, pos_le, neg_le = valid.cut_table
     cuts = candidate_thresholds(valid)[::-1]
     return valid.n_neg - neg_le[::-1], valid.n_pos - pos_le[::-1], cuts
@@ -187,7 +186,6 @@ def tortorella_optimize(
     attains the same optimum as the published tangent construction. Ties
     break by smaller reject rate, then band width, then (t1, t2).
     """
-    valid.require_both_classes()
     fp, tp, cuts = roc_points(valid)
     thresholds = cuts[rocch(fp, tp)][::-1]  # ascending
     check = check_reject_activation(costs)
@@ -266,7 +264,6 @@ def ba_optimize(
     of examples. The costs must be finite and non-negative, with
     ``(cfn*n_pos + cfp*n_neg) * total`` finite.
     """
-    valid.require_both_classes()
     if not 0.0 < k_max < 1.0:
         raise ValueError(f"k_max must lie in (0,1), got {k_max}")
     if not (0.0 <= cfn < np.inf and 0.0 <= cfp < np.inf):  # also rejects NaNs

@@ -74,12 +74,6 @@ def _write_json(path: str, doc: dict) -> None:
     _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _load_dataset(path: str) -> ScoredDataset:
-    data = load_scored_csv(path)
-    data.require_both_classes()
-    return data
-
-
 def _split_valid_test(data: ScoredDataset, seed: int) -> tuple[ScoredDataset, ScoredDataset]:
     _, valid, test = stratified_split(data, SplitSpec(0.6, 0.2, 0.2, seed))
     return valid, test
@@ -133,7 +127,7 @@ def _pareto_table(doc: dict) -> str:
 
 def cmd_optimize(args) -> int:
     cfg = _moba_config(args, args.pmax, args.nmax)
-    data = _load_dataset(args.scores)
+    data = load_scored_csv(args.scores)
     result = evolve(data, cfg)
     doc = pareto_document(result, data)
     table = _pareto_table(doc)
@@ -148,7 +142,7 @@ def cmd_optimize(args) -> int:
 def cmd_baseline(args) -> int:
     if args.model == "tortorella":
         costs = _cost_matrix(args)
-        data = _load_dataset(args.scores)
+        data = load_scored_csv(args.scores)
         res = tortorella_optimize(data, costs, empirical_priors(data))
         doc = {
             "metadata": {
@@ -174,7 +168,7 @@ def cmd_baseline(args) -> int:
             raise UsageError(f"--kmax must lie in (0,1), got {args.kmax}")
         if not (0.0 <= args.cfn < math.inf and 0.0 <= args.cfp < math.inf):
             raise UsageError("--cfn and --cfp must be finite and non-negative")
-        data = _load_dataset(args.scores)
+        data = load_scored_csv(args.scores)
         try:  # the costs can still overflow against this file's class counts
             res = ba_optimize(data, args.kmax, cfn=args.cfn, cfp=args.cfp)
         except ValueError as e:
@@ -209,7 +203,7 @@ def cmd_compare_costs(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
     cfg = _moba_config(args, 0.5, 0.5)  # caps are transferred per trial
-    data = _load_dataset(args.scores)
+    data = load_scored_csv(args.scores)
     valid, test = _split_valid_test(data, args.seed)
     counts = cost_comparison_experiment(
         valid,
@@ -231,7 +225,7 @@ def cmd_compare_costs(args) -> int:
 
 def cmd_curves(args) -> int:
     cfg = _moba_config(args, 0.5, 0.5)  # caps are swept per grid point
-    data = _load_dataset(args.scores)
+    data = load_scored_csv(args.scores)
     valid, test = _split_valid_test(data, args.seed)
     points = curve_sweep(valid, test, cfg, args.seed, metric=args.metric)
     os.makedirs(args.out, exist_ok=True)

@@ -32,7 +32,9 @@ class ScoredDataset:
 
     Backed by parallel numpy arrays (``scores`` float64, ``labels`` +1/-1
     int64) in original row order. Every confusion count is a lookup in one
-    cached table, :attr:`cut_table`.
+    cached table, :attr:`cut_table`. A dataset holds at least one example of
+    each class: construction raises ``ValueError`` naming both class counts
+    otherwise, so every model can divide by ``n_pos`` and ``n_neg``.
     """
 
     def __init__(self, scores: Iterable[float], labels: Iterable[int]):
@@ -46,6 +48,10 @@ class ScoredDataset:
             raise ValueError("labels must be +1 or -1")
         self.n_pos = int(np.sum(self.labels == POSITIVE))
         self.n_neg = int(np.sum(self.labels == NEGATIVE))
+        if self.n_pos < 1 or self.n_neg < 1:
+            raise ValueError(
+                f"dataset must contain both classes (n_pos={self.n_pos}, n_neg={self.n_neg})"
+            )
 
     def __len__(self) -> int:
         return self.scores.shape[0]
@@ -65,15 +71,7 @@ class ScoredDataset:
         return distinct, pos_le, below - pos_le
 
     def score_range(self) -> tuple[float, float]:
-        if len(self) == 0:
-            raise ValueError("empty dataset has no score range")
         return float(self.scores.min()), float(self.scores.max())
-
-    def require_both_classes(self) -> None:
-        if self.n_pos < 1 or self.n_neg < 1:
-            raise ValueError(
-                f"dataset must contain both classes (n_pos={self.n_pos}, n_neg={self.n_neg})"
-            )
 
 
 @dataclass(frozen=True)
@@ -107,7 +105,9 @@ def load_scored_csv(path) -> ScoredDataset:
     non-ASCII digits. So a CR before the LF is allowed on a data row (it is
     whitespace around the score) but not on the header. The final LF is
     optional. Row order is preserved. Malformed rows are reported by
-    data-row number (the header line is not counted).
+    data-row number (the header line is not counted). A well-formed file
+    that lacks a class, or has no rows, raises :class:`ScoredDataset`'s
+    two-class ``ValueError``.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -217,7 +217,6 @@ def stratified_split(
     exhaustive. Raises if either class cannot place at least one example
     into every split.
     """
-    data.require_both_classes()
     if data.n_pos < 3 or data.n_neg < 3:
         raise ValueError("each class needs at least 3 examples to populate every split")
     fracs = (spec.train_frac, spec.valid_frac, spec.test_frac)

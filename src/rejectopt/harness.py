@@ -307,8 +307,6 @@ def cost_comparison_experiment(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    valid.require_both_classes()
-    test.require_both_classes()
     priors_valid = empirical_priors(valid)
     priors_test = empirical_priors(test)
     entropy = np.random.SeedSequence(seed).entropy
@@ -369,8 +367,6 @@ def curve_sweep(
     classifier is scored on the test set; one point per (k, model), sorted
     by k then model name.
     """
-    valid.require_both_classes()
-    test.require_both_classes()
     grid = default_sweep_grid() if grid is None else list(grid)
     entropy = np.random.SeedSequence(seed).entropy
 

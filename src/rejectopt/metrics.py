@@ -85,16 +85,6 @@ class CostMatrix:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
-    def scaled(self, factor: float) -> "CostMatrix":
-        return CostMatrix(
-            self.ctp * factor,
-            self.ctn * factor,
-            self.cfp * factor,
-            self.cfn * factor,
-            self.crp * factor,
-            self.crn * factor,
-        )
-
 
 @dataclass(frozen=True)
 class ClassPriors:
@@ -160,8 +150,6 @@ def confusion_counts(data: ScoredDataset, t1s, t2s) -> tuple[np.ndarray, ...]:
     search into the dataset's distinct scores, and its per-class counts at
     or below are read from :attr:`ScoredDataset.cut_table`.
     """
-    if len(data) == 0:
-        raise ValueError("dataset is empty")
     t1s = np.asarray(t1s, dtype=np.float64)
     t2s = np.asarray(t2s, dtype=np.float64)
     if not (t1s <= t2s).all():  # also rejects NaNs
@@ -238,8 +226,5 @@ def expected_cost(m: EssentialMetrics, priors: ClassPriors, costs: CostMatrix) -
 
 
 def empirical_priors(data: ScoredDataset) -> ClassPriors:
-    if len(data) == 0:
-        raise ValueError("dataset is empty")
-    data.require_both_classes()
     total = data.n_pos + data.n_neg
     return ClassPriors(p_pos=data.n_pos / total, p_neg=data.n_neg / total)

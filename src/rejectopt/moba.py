@@ -131,7 +131,6 @@ def evaluate_batch(
     death penalty (1, 1). Rates are quotients of the counts as Python ints,
     so they equal the floats of :func:`essential_metrics` bit for bit.
     """
-    valid.require_both_classes()
     t1s = np.array(t1, dtype=np.float64)
     t2s = np.array(t2, dtype=np.float64)
     counts = (c.tolist() for c in confusion_counts(valid, t1s, t2s))
@@ -392,7 +391,6 @@ def evolve(valid: ScoredDataset, cfg: MobaConfig) -> EvolveResult:
     Initialization and mutation range over the tuning set's score range
     (see :func:`resolve_bounds`).
     """
-    valid.require_both_classes()
     lo, hi = resolve_bounds(valid)
     n, half = cfg.popsize, cfg.popsize // 2
     p_max, n_max = cfg.p_max, cfg.n_max

@@ -446,10 +446,12 @@ def test_c12_cost_homogeneity():
         m = ro.essential_metrics(RejectionConfusion(*counts))
         p = float(rng.uniform(0.05, 0.95))
         priors = ClassPriors(p, 1 - p)
-        costs = ro.CostMatrix(*(float(x) for x in rng.uniform(-10, 50, 6)))
+        values = [float(x) for x in rng.uniform(-10, 50, 6)]
+        costs = ro.CostMatrix(*values)
         lam = float(rng.uniform(0.1, 4.0))
+        scaled = ro.CostMatrix(*(v * lam for v in values))
         diff = abs(
-            ro.expected_cost(m, priors, costs.scaled(lam))
+            ro.expected_cost(m, priors, scaled)
             - lam * ro.expected_cost(m, priors, costs)
         )
         worst = max(worst, diff)

@@ -322,7 +322,7 @@ class TestRocPoints:
     @example([0.0, -0.0, 0.0, -0.0])
     @example([-0.0, 5e-324, 0.0, -5e-324, -0.0])
     def test_distinct_scores_match_unique(self, scores):
-        data = ScoredDataset(scores, [1] * len(scores))
+        data = ScoredDataset(scores * 2, [1] * len(scores) + [-1] * len(scores))
         assert candidate_thresholds(data).tobytes() == unique_candidate_thresholds(data).tobytes()
 
     def test_ordinary_cuts_unchanged(self):

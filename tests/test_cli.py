@@ -664,6 +664,30 @@ class TestSelect:
         assert code == 1
 
 
+_COSTS = ["--ctp", "0", "--ctn", "0", "--cfp", "5", "--cfn", "4", "--crp", "1", "--crn", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--pmax", "0.2", "--nmax", "0.2"],
+        ["baseline", "--model", "tortorella", *_COSTS],
+        ["baseline", "--model", "ba", "--kmax", "0.2"],
+        ["compare-costs", "--cost-model", "cm4", "--trials", "1"],
+        ["curves"],
+    ],
+    ids=["optimize", "tortorella", "ba", "compare-costs", "curves"],
+)
+def test_one_class_scores_file_is_data_error(argv, tmp_path, capsys):
+    path, out = tmp_path / "one_class.csv", tmp_path / "out"
+    path.write_text("id,label,score\n1,+1,0.5\n2,+1,0.25\n3,+1,0.75\n")
+    assert run(*argv, "--scores", str(path), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "data error: dataset must contain both classes (n_pos=3, n_neg=0)\n"
+    )
+    assert not out.exists()
+
+
 def test_import_leaves_the_process_pool_unloaded():
     # only compare-costs and curves use worker processes; every other command
     # should not pay for importing them

@@ -258,6 +258,24 @@ class TestLoadScoredCsvInBlocks:
         assert peak <= 12 * 2**20
 
 
+class TestBothClassesRequired:
+    @pytest.mark.parametrize(
+        "labels, counts",
+        [([-1, -1, -1], "n_pos=0, n_neg=3"), ([1, 1], "n_pos=2, n_neg=0"), ([], "n_pos=0, n_neg=0")],
+    )
+    def test_construction_names_both_counts(self, labels, counts):
+        with pytest.raises(ValueError) as raised:
+            ScoredDataset([0.5] * len(labels), labels)
+        assert str(raised.value) == f"dataset must contain both classes ({counts})"
+
+    def test_loading_a_one_class_file(self, tmp_path):
+        path = tmp_path / "one_class.csv"
+        write_csv(path, [("+1", 0.5), ("+1", 0.25), ("+1", 0.75)])
+        with pytest.raises(ValueError) as raised:
+            load_scored_csv(path)
+        assert str(raised.value) == "dataset must contain both classes (n_pos=3, n_neg=0)"
+
+
 class TestScoresCsvThroughCli:
     ROWS = "1,+1,0.75\n2,-1,-0.5\n3,+1,0.25\n4,-1,0.125\n"
 

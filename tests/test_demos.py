@@ -11,7 +11,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize(
     "name",
-    ["01_pareto_thresholds.py", "02_baseline_models.py", "04_performance_rejection_curves.py"],
+    [
+        "01_pareto_thresholds.py",
+        "02_baseline_models.py",
+        "03_cost_model_comparison.py",
+        "04_performance_rejection_curves.py",
+    ],
 )
 def test_demo_runs(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -135,7 +135,9 @@ class TestConfusionCounts:
     @seed(20261019)
     @settings(max_examples=200, deadline=None, database=None)
     @given(
-        st.lists(st.tuples(st.sampled_from(_TIE_POOL), st.booleans()), min_size=1, max_size=30),
+        st.lists(
+            st.tuples(st.sampled_from(_TIE_POOL), st.booleans()), min_size=2, max_size=30
+        ).filter(lambda examples: len({p for _, p in examples}) == 2),
         st.lists(st.tuples(st.sampled_from(_TIE_CUTS), st.sampled_from(_TIE_CUTS)), max_size=8),
         st.sampled_from(["pairs", "same array", "0-d", "same 0-d"]),
     )
@@ -221,10 +223,12 @@ class TestExpectedCost:
             m = essential_metrics(RejectionConfusion(*counts))
             p = float(rng.uniform(0.05, 0.95))
             priors = ClassPriors(p, 1 - p)
-            costs = CostMatrix(*(float(x) for x in rng.uniform(-10, 50, 6)))
+            values = [float(x) for x in rng.uniform(-10, 50, 6)]
+            costs = CostMatrix(*values)
             lam = float(rng.uniform(0.1, 4.0))
+            scaled = CostMatrix(*(v * lam for v in values))
             assert abs(
-                expected_cost(m, priors, costs.scaled(lam)) - lam * expected_cost(m, priors, costs)
+                expected_cost(m, priors, scaled) - lam * expected_cost(m, priors, costs)
             ) <= 1e-12
 
 
@@ -240,9 +244,8 @@ class TestEmpiricalPriors:
         assert empirical_priors(data) == ClassPriors(0.5, 0.5)
 
     def test_single_class_rejected(self):
-        data = ScoredDataset([0.1, 0.2, 0.3], [-1, -1, -1])
         with pytest.raises(ValueError):
-            empirical_priors(data)
+            ScoredDataset([0.1, 0.2, 0.3], [-1, -1, -1])
 
 
 class TestCostMatrix:
