@@ -30,9 +30,12 @@ costs = ro.CostMatrix(ctp=-2.0, ctn=-2.0, cfp=20.0, cfn=20.0, crp=4.0, crn=4.0)
 print(f"\nreject option activated: {ro.check_reject_activation(costs).activated}")
 
 tort = ro.tortorella_optimize(valid, costs, priors)
-print(f"hull baseline: thresholds ({tort.thresholds.t1:.4f}, {tort.thresholds.t2:.4f}), "
+# Each baseline returns its chosen pair as a solution scored on the tuning
+# set: thresholds, confusion counts and every rate.
+t, m = tort.solution.thresholds, tort.solution.metrics
+print(f"hull baseline: thresholds ({t.t1:.4f}, {t.t2:.4f}), "
       f"expected cost {tort.cost:.4f}")
-print(f"  per-class reject rates rpr={tort.rpr:.3f}, rnr={tort.rnr:.3f} "
+print(f"  per-class reject rates rpr={m.rpr:.3f}, rnr={m.rnr:.3f} "
       f"(these transfer to the Pareto search as caps)")
 
 # Flip the cost structure so correct negatives are a huge gain: rejection
@@ -40,19 +43,19 @@ print(f"  per-class reject rates rpr={tort.rpr:.3f}, rnr={tort.rnr:.3f} "
 dull = ro.CostMatrix(ctp=-1.0, ctn=-50.0, cfp=1.0, cfn=1.0, crp=0.0, crn=0.0)
 tort2 = ro.tortorella_optimize(valid, dull, priors)
 print(f"\nnot-activated example: activated={tort2.activated}, "
-      f"t1 == t2 == {tort2.thresholds.t1:.4f}")
+      f"t1 == t2 == {tort2.solution.thresholds.t1:.4f}")
 
 # Bounded abstention: minimize the error rate among classified examples
 # (cost ratio 1) while rejecting at most 15% of all examples.
 ba = ro.ba_optimize(valid, k_max=0.15, cfn=1.0, cfp=1.0)
 print(f"\nbounded abstention at k_max=0.15: thresholds "
-      f"({ba.thresholds.t1:.4f}, {ba.thresholds.t2:.4f})")
-print(f"  classified error rate {ba.objective:.4f} at overall reject rate {ba.rej:.3f}")
+      f"({ba.solution.thresholds.t1:.4f}, {ba.solution.thresholds.t2:.4f})")
+print(f"  classified error rate {ba.objective:.4f} at overall reject rate "
+      f"{ba.solution.metrics.rej:.3f}")
 
 # With a near-zero budget the same model falls back to the best single
 # threshold, because every candidate band would reject at least one example.
 single = ro.ba_optimize(valid, k_max=1e-6)
-m = ro.essential_metrics(ro.classify_with_rejection(valid, ba.thresholds))
-m0 = ro.essential_metrics(ro.classify_with_rejection(valid, single.thresholds))
+m, m0 = ba.solution.metrics, single.solution.metrics
 print(f"  accuracy among classified: {m.acc:.4f} "
       f"(best single threshold without abstention: {m0.acc:.4f})")

@@ -7,6 +7,13 @@ every achievable confusion matrix on a finite tuning set; each cut's counts
 are read from the dataset's cut table. The hull model evaluates all ordered
 hull-vertex pairs in one confusion-kernel call.
 
+Each model returns its chosen pair as ``.solution``, a
+:class:`~rejectopt.metrics.SolutionEval` scored on the tuning set: its
+counts and rates, such as the per-class reject rates the comparison
+protocol transfers as caps. The hull model builds it from the counts of
+that one kernel call; the bounded-abstention model scores its pair with
+:func:`~rejectopt.metrics.score_pairs`.
+
 The ROC points are integer arrays of false- and true-positive counts, and
 the hull is exact: its turns are decided by integer cross products of
 count differences, so a point collinear with two others in counts is never
@@ -34,10 +41,11 @@ from .data import ScoredDataset
 from .metrics import (
     ClassPriors,
     CostMatrix,
+    RejectionConfusion,
+    SolutionEval,
     ThresholdPair,
-    classify_with_rejection,
     confusion_counts,
-    essential_metrics,
+    score_pairs,
 )
 
 _PAIR_CELLS = 1 << 14  # cells per ba_optimize chunk; small chunks stay in cache
@@ -57,21 +65,16 @@ class ActivationCheck:
 
 @dataclass(frozen=True)
 class TortorellaResult:
-    thresholds: ThresholdPair
-    cost: float  # expected cost on the tuning set
+    solution: SolutionEval  # the chosen pair, scored on the tuning set
+    cost: float  # its expected cost on the tuning set
     activated: bool
     degenerate_denominator: bool
-    rpr: float  # tuning-set per-class reject rates, exposed for cap transfer
-    rnr: float
 
 
 @dataclass(frozen=True)
 class BaResult:
-    thresholds: ThresholdPair
+    solution: SolutionEval  # the chosen pair, scored on the tuning set
     objective: float  # misclassification cost per classified example
-    rej: float  # tuning-set overall reject rate
-    rpr: float
-    rnr: float
 
 
 def candidate_thresholds(data: ScoredDataset) -> np.ndarray:
@@ -195,26 +198,26 @@ def tortorella_optimize(
     else:
         ii = jj = np.arange(thresholds.size)
     t1s, t2s = thresholds[ii], thresholds[jj]
-    tp, fn, rp, fp, tn, rn = confusion_counts(valid, t1s, t2s)
+    counts = confusion_counts(valid, t1s, t2s)
+    tp, fn, rp, fp, tn, rn = counts
     n_pos, n_neg = valid.n_pos, valid.n_neg
-    rpr = rp / n_pos
-    rnr = rn / n_neg
     # same operation order as essential_metrics + expected_cost, so the same floats
     cost = priors.p_pos * (
-        costs.cfn * (fn / n_pos) + costs.ctp * (tp / n_pos) + costs.crp * rpr
+        costs.cfn * (fn / n_pos) + costs.ctp * (tp / n_pos) + costs.crp * (rp / n_pos)
     ) + priors.p_neg * (
-        costs.ctn * (tn / n_neg) + costs.cfp * (fp / n_neg) + costs.crn * rnr
+        costs.ctn * (tn / n_neg) + costs.cfp * (fp / n_neg) + costs.crn * (rn / n_neg)
     )
     rej = (rp + rn) / (n_pos + n_neg)
     # key (cost, rej, t2 - t1, t1, t2); t1 = t2 pairs reduce it to (cost, t)
     best = int(np.lexsort((t2s, t1s, _width(t1s, t2s), rej, cost))[0])
     return TortorellaResult(
-        thresholds=ThresholdPair(float(t1s[best]), float(t2s[best])),
+        solution=SolutionEval.from_counts(
+            ThresholdPair(float(t1s[best]), float(t2s[best])),
+            RejectionConfusion(*(int(c[best]) for c in counts)),
+        ),
         cost=float(cost[best]),
         activated=check.activated,
         degenerate_denominator=check.degenerate_denominator,
-        rpr=float(rpr[best]),
-        rnr=float(rnr[best]),
     )
 
 
@@ -340,12 +343,4 @@ def ba_optimize(
         key = (float(obj), float(rej[w]), float(width[w]), float(t1[w]), float(t2[w]))
         best_key = min(best_key, key)
     best_obj, _, _, t1_best, t2_best = best_key
-    pair = ThresholdPair(t1_best, t2_best)
-    m = essential_metrics(classify_with_rejection(valid, pair))
-    return BaResult(
-        thresholds=pair,
-        objective=best_obj,
-        rej=m.rej,
-        rpr=m.rpr,
-        rnr=m.rnr,
-    )
+    return BaResult(score_pairs(valid, [ThresholdPair(t1_best, t2_best)])[0], best_obj)

@@ -48,7 +48,6 @@ from .metrics import (
     RejectionConfusion,
     SolutionEval,
     ThresholdPair,
-    classify_with_rejection,
     empirical_priors,
     expected_cost,
 )
@@ -155,11 +154,11 @@ def cmd_baseline(args) -> int:
                 "n_neg": data.n_neg,
             },
         }
+        t, m = res.solution.thresholds, res.solution.metrics
         status = "activated" if res.activated else "not activated (t1 = t2)"
         summary = (
-            f"tortorella: {status}; thresholds ({_num(res.thresholds.t1)}, "
-            f"{_num(res.thresholds.t2)}); cost {_num(res.cost)}; "
-            f"rpr {res.rpr:.4f}; rnr {res.rnr:.4f}"
+            f"tortorella: {status}; thresholds ({_num(t.t1)}, {_num(t.t2)}); "
+            f"cost {_num(res.cost)}; rpr {m.rpr:.4f}; rnr {m.rnr:.4f}"
         )
     else:
         if args.kmax is None:
@@ -184,12 +183,12 @@ def cmd_baseline(args) -> int:
                 "n_neg": data.n_neg,
             },
         }
+        t, m = res.solution.thresholds, res.solution.metrics
         summary = (
-            f"ba: thresholds ({_num(res.thresholds.t1)}, {_num(res.thresholds.t2)}); "
-            f"objective {_num(res.objective)}; rej {res.rej:.4f} (cap {args.kmax})"
+            f"ba: thresholds ({_num(t.t1)}, {_num(t.t2)}); "
+            f"objective {_num(res.objective)}; rej {m.rej:.4f} (cap {args.kmax})"
         )
-    t = res.thresholds
-    doc["solutions"] = [solution_record(SolutionEval.from_counts(t, classify_with_rejection(data, t)))]
+    doc["solutions"] = [solution_record(res.solution)]
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "baseline.json"), doc)
     print(summary)
@@ -197,9 +196,6 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_compare_costs(args) -> int:
-    models = builtin_cost_models()
-    if args.cost_model not in models:
-        raise UsageError(f"unknown cost model {args.cost_model!r}")
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
     cfg = _moba_config(args, 0.5, 0.5)  # caps are transferred per trial
@@ -208,7 +204,7 @@ def cmd_compare_costs(args) -> int:
     counts = cost_comparison_experiment(
         valid,
         test,
-        models[args.cost_model],
+        builtin_cost_models()[args.cost_model],
         args.trials,
         cfg,
         args.seed,
@@ -291,7 +287,7 @@ def cmd_select(args) -> int:
         meta = doc.get("metadata", {})
         if not isinstance(records, list) or not isinstance(meta, dict):
             raise TypeError("solutions must be a list and metadata an object")
-    except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as e:
+    except (json.JSONDecodeError, RecursionError, KeyError, TypeError, AttributeError) as e:
         raise ScoresCsvError(f"invalid Pareto JSON {args.pareto}: {e}") from None
     if not records:
         raise NoEligibleSolutionError("Pareto file contains no solutions")

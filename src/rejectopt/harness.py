@@ -37,13 +37,10 @@ from .metrics import (
     ClassPriors,
     CostMatrix,
     EssentialMetrics,
-    RejectionConfusion,
     SolutionEval,
-    ThresholdPair,
-    confusion_counts,
     empirical_priors,
-    essential_metrics,
     expected_cost,
+    score_pairs,
 )
 from .moba import MobaConfig, evolve
 
@@ -197,12 +194,6 @@ def select_best_under_cap(
     return min(eligible, key=sort_key)
 
 
-def _test_metrics(test: ScoredDataset, *pairs: ThresholdPair) -> list[EssentialMetrics]:
-    """Metrics of each threshold pair on ``test``, from one kernel call."""
-    counts = confusion_counts(test, [t.t1 for t in pairs], [t.t2 for t in pairs])
-    return [essential_metrics(RejectionConfusion(*c)) for c in zip(*(a.tolist() for a in counts))]
-
-
 def _usable_cpus() -> int:
     """CPUs in this process's affinity mask; 1 where processes cannot be forked."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
@@ -318,11 +309,12 @@ def cost_comparison_experiment(
         tort = tortorella_optimize(valid, costs, priors_valid)
         if not tort.activated:
             return "not_activated"
-        result = evolve(valid, replace(cfg, p_max=tort.rpr, n_max=tort.rnr, seed=int(state[1])))
+        caps = tort.solution.metrics
+        result = evolve(valid, replace(cfg, p_max=caps.rpr, n_max=caps.rnr, seed=int(state[1])))
         best = select_min_cost(result.pareto, costs, priors_valid)
         moba_cost, tort_cost = (
-            expected_cost(m, priors_test, costs)
-            for m in _test_metrics(test, best.thresholds, tort.thresholds)
+            expected_cost(s.metrics, priors_test, costs)
+            for s in score_pairs(test, [best.thresholds, tort.solution.thresholds])
         )
         if moba_cost < tort_cost - _COST_TIE_TOL:
             return "lower"
@@ -376,8 +368,8 @@ def curve_sweep(
         result = evolve(valid, replace(cfg, p_max=k, n_max=k, seed=int(state[0])))
         ba = ba_optimize(valid, k)
         best = select_best_under_cap(result.pareto, metric, max_rpr=k, max_rnr=k)
-        m_ba, m_moba = _test_metrics(test, ba.thresholds, best.thresholds)
-        return _curve_point(k, "moba", m_moba), _curve_point(k, "ba", m_ba)
+        s_ba, s_moba = score_pairs(test, [ba.solution.thresholds, best.thresholds])
+        return _curve_point(k, "moba", s_moba.metrics), _curve_point(k, "ba", s_ba.metrics)
 
     with closing(_in_order(grid_point, len(grid))) as runs:
         points = [p for pair in runs for p in pair]

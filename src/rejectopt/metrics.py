@@ -171,6 +171,15 @@ def classify_with_rejection(data: ScoredDataset, t: ThresholdPair) -> RejectionC
     return RejectionConfusion(*map(int, confusion_counts(data, t.t1, t.t2)))
 
 
+def score_pairs(data: ScoredDataset, pairs: list[ThresholdPair]) -> list[SolutionEval]:
+    """Each threshold pair, in order, scored on ``data`` from one kernel call."""
+    counts = confusion_counts(data, [t.t1 for t in pairs], [t.t2 for t in pairs])
+    return [
+        SolutionEval.from_counts(t, RejectionConfusion(*c))
+        for t, c in zip(pairs, zip(*(a.tolist() for a in counts)))
+    ]
+
+
 def essential_metrics(c: RejectionConfusion) -> EssentialMetrics:
     """Compute both rate families and the composite metrics from counts."""
     n_pos, n_neg = c.n_pos, c.n_neg

@@ -20,7 +20,8 @@ set of feasible pairs, whatever the data and the caps.
 A generation works on parallel lists of Python floats — t1, t2, objective
 tuples, feasibility, rank and crowding — and each operator handles the
 whole generation in one call. Only the final Pareto set leaves the loop as
-:class:`~rejectopt.metrics.SolutionEval` objects, scored by one kernel call.
+:class:`~rejectopt.metrics.SolutionEval` objects, scored in one kernel call
+by :func:`~rejectopt.metrics.score_pairs`.
 
 Determinism contract: one seeded generator per run, consumed in a fixed
 order. Initialization draws come first; the extra initial member follows
@@ -58,7 +59,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import ScoredDataset
-from .metrics import RejectionConfusion, SolutionEval, ThresholdPair, confusion_counts
+from .metrics import SolutionEval, ThresholdPair, confusion_counts, score_pairs
 
 Objectives = tuple[float, float]
 FrontSet = list[list[int]]  # fronts partition the population, best rank first
@@ -427,11 +428,7 @@ def evolve(valid: ScoredDataset, cfg: MobaConfig) -> EvolveResult:
 
     # survivors can repeat a pair; the Pareto set lists each classifier once
     front = list(dict.fromkeys((a, b) for a, b, r in zip(t1, t2, rank) if r == 0))
-    counts = zip(*(c.tolist() for c in confusion_counts(valid, *zip(*front))))
-    pareto = [
-        SolutionEval.from_counts(ThresholdPair(*t), RejectionConfusion(*c))
-        for t, c in zip(front, counts)
-    ]
+    pareto = score_pairs(valid, [ThresholdPair(*t) for t in front])
     return EvolveResult(pareto, stats, cfg, crossover_fallbacks, mutation_fallbacks)
 
 

@@ -316,7 +316,7 @@ def test_c08_tortorella_sanity():
         costs = ro.sample_cost_matrix(cm1, rng)
         res = ro.tortorella_optimize(valid, costs, priors)
         if not res.activated:
-            if res.thresholds.t1 != res.thresholds.t2:
+            if res.solution.thresholds.t1 != res.solution.thresholds.t2:
                 violations += 1
             continue
         activated_seen += 1

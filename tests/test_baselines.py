@@ -1,4 +1,10 @@
+import contextlib
+import io
+import json
+import os
+import tempfile
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -16,17 +22,21 @@ from rejectopt.baselines import (
     rocch,
     tortorella_optimize,
 )
-from rejectopt.data import ScoredDataset, synth_two_gaussian
+from rejectopt.cli import main
+from rejectopt.data import ScoredDataset, load_scored_csv, synth_two_gaussian, write_scored_csv
 from rejectopt.harness import builtin_cost_models, sample_cost_matrix
 from rejectopt.metrics import (
     CostMatrix,
     RejectionConfusion,
+    SolutionEval,
     ThresholdPair,
     classify_with_rejection,
     empirical_priors,
     essential_metrics,
     expected_cost,
+    score_pairs,
 )
+from rejectopt.moba import solution_record
 
 
 def make_dataset(pairs):
@@ -133,8 +143,10 @@ def dense_ba(valid, k_max, cfn=1.0, cfp=1.0):
             best_key, best_ij = key, (i, j)
     i, j = best_ij
     pair = ThresholdPair(float(cands[i]), float(cands[j]))
-    m = essential_metrics(classify_with_rejection(valid, pair))
-    return BaResult(thresholds=pair, objective=float(best_obj), rej=m.rej, rpr=m.rpr, rnr=m.rnr)
+    return BaResult(
+        solution=SolutionEval.from_counts(pair, classify_with_rejection(valid, pair)),
+        objective=float(best_obj),
+    )
 
 
 def loop_roc_points(valid):
@@ -174,19 +186,18 @@ def loop_tortorella(valid, costs, priors):
         pairs = [(t, t) for t in thresholds]
     best_key = best = None
     for t1, t2 in pairs:
-        m = essential_metrics(classify_with_rejection(valid, ThresholdPair(t1, t2)))
+        c = classify_with_rejection(valid, ThresholdPair(t1, t2))
+        m = essential_metrics(c)
         cost = expected_cost(m, priors, costs)
         key = (cost, m.rej, t2 - t1, t1, t2) if check.activated else (cost, t1)
         if best_key is None or key < best_key:
-            best_key, best = key, (ThresholdPair(t1, t2), cost, m)
-    pair, cost, m = best
+            best_key, best = key, (SolutionEval(ThresholdPair(t1, t2), c, m), cost)
+    solution, cost = best
     return TortorellaResult(
-        thresholds=pair,
+        solution=solution,
         cost=cost,
         activated=check.activated,
         degenerate_denominator=check.degenerate_denominator,
-        rpr=m.rpr,
-        rnr=m.rnr,
     )
 
 
@@ -453,7 +464,7 @@ class TestTortorella:
         priors = empirical_priors(data)
         res = tortorella_optimize(data, costs, priors)
         assert res.activated
-        assert res.thresholds.t2 - res.thresholds.t1 > 0
+        assert res.solution.thresholds.t2 - res.solution.thresholds.t1 > 0
         # exhaustive single-threshold check over every candidate cut
         for c in candidate_thresholds(data):
             single, _ = _cost_and_rej(data, float(c), float(c), costs, priors)
@@ -470,16 +481,16 @@ class TestTortorella:
         costs = CostMatrix(ctp=-1, ctn=-50, cfp=1, cfn=1, crp=0, crn=0)
         res = tortorella_optimize(data, costs, empirical_priors(data))
         assert not res.activated
-        assert res.thresholds.t1 == res.thresholds.t2
-        assert res.rpr == 0.0 and res.rnr == 0.0
+        assert res.solution.thresholds.t1 == res.solution.thresholds.t2
+        assert res.solution.metrics.rpr == 0.0 and res.solution.metrics.rnr == 0.0
 
     def test_reject_rates_exposed_for_transfer(self):
         data = self.overlapping_data()
         costs = CostMatrix(ctp=0, ctn=0, cfp=80, cfn=80, crp=1, crn=1)
         res = tortorella_optimize(data, costs, empirical_priors(data))
-        rp, rn = _reject_counts(data, res.thresholds)
-        assert res.rpr == pytest.approx(rp / data.n_pos)
-        assert res.rnr == pytest.approx(rn / data.n_neg)
+        rp, rn = _reject_counts(data, res.solution.thresholds)
+        assert res.solution.metrics.rpr == pytest.approx(rp / data.n_pos)
+        assert res.solution.metrics.rnr == pytest.approx(rn / data.n_neg)
 
     def test_optimal_on_hull_vertex_grid(self):
         data = synth_two_gaussian(25, 25, 0.5, -0.5, 1.0, seed=13)
@@ -546,9 +557,9 @@ def test_max_float_sentinel_pair_ties_by_threshold():
     # everything positive (t = -inf) and everything negative (t = 6) tie here
     data = ScoredDataset([-_MAX, -_MAX, 5.0, 1.0], [1, 1, -1, -1])
     tort = tortorella_optimize(data, CostMatrix(0, 0, 1, 1, 0, 0), empirical_priors(data))
-    assert tort.thresholds == ThresholdPair(-np.inf, -np.inf) and not tort.activated
+    assert tort.solution.thresholds == ThresholdPair(-np.inf, -np.inf) and not tort.activated
     for k_max in (0.3, 0.6):
-        assert ba_optimize(data, k_max).thresholds == ThresholdPair(-np.inf, -np.inf)
+        assert ba_optimize(data, k_max).solution.thresholds == ThresholdPair(-np.inf, -np.inf)
 
 
 class TestBaOptimize:
@@ -556,8 +567,8 @@ class TestBaOptimize:
         data = make_dataset([(0.9, 1), (0.7, 1), (0.4, -1), (0.2, -1)])
         # any candidate band rejects >= 1 of 4 examples = 0.25 > 0.2
         res = ba_optimize(data, 0.2)
-        assert res.thresholds.t1 == res.thresholds.t2
-        assert res.rej == 0.0
+        assert res.solution.thresholds.t1 == res.solution.thresholds.t2
+        assert res.solution.metrics.rej == 0.0
 
     def test_unit_costs_minimize_classified_error(self):
         data = synth_two_gaussian(30, 30, 0.6, -0.6, 1.0, seed=21)
@@ -581,7 +592,7 @@ class TestBaOptimize:
         data = synth_two_gaussian(40, 60, 0.6, -0.6, 1.2, seed=5)
         for k_max in (0.05, 0.15, 0.3):
             res = ba_optimize(data, k_max)
-            assert res.rej <= k_max
+            assert res.solution.metrics.rej <= k_max
 
     def test_kmax_validated(self):
         data = synth_two_gaussian(5, 5, 0.5, -0.5, 1.0, seed=1)
@@ -662,7 +673,10 @@ class TestBaOptimize:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert res == BaResult(ThresholdPair(t, t), objective=0.0, rej=0.0, rpr=0.0, rnr=0.0)
+        m = res.solution.metrics
+        assert (res.solution.thresholds, res.objective, m.rej, m.rpr, m.rnr) == (
+            ThresholdPair(t, t), 0.0, 0.0, 0.0, 0.0
+        )
         assert peak < 64 * 2**20
 
     @pytest.mark.filterwarnings("error")
@@ -674,6 +688,65 @@ class TestBaOptimize:
         with pytest.raises(ValueError, match="too large"):
             ba_optimize(data, 0.2, 0.0, _MAX / 100)
         ba_optimize(data, 0.2, 0.0, _MAX / 400 / 100)  # finite, near the bound
+
+
+# tie-heavy sets, and continuous scores from two Gaussians at any overlap
+scored_sets = st.one_of(
+    tied_examples.map(lambda e: tied_dataset(*e)),
+    st.builds(
+        lambda n_pos, n_neg, mu, draw_seed: synth_two_gaussian(n_pos, n_neg, mu, -mu, 1.0, draw_seed),
+        st.integers(1, 60), st.integers(1, 60), st.floats(0.0, 3.0), st.integers(0, 2**32 - 1),
+    ),
+)
+
+# integer entries (exact cost ties) and matrices the comparison protocol samples
+cost_matrices = st.one_of(
+    st.lists(st.integers(-5, 60), min_size=6, max_size=6).map(lambda e: CostMatrix(*map(float, e))),
+    st.builds(
+        lambda model, draw_seed: sample_cost_matrix(
+            builtin_cost_models()[model], np.random.default_rng(draw_seed)
+        ),
+        st.sampled_from(sorted(builtin_cost_models())), st.integers(0, 2**32 - 1),
+    ),
+)
+
+
+class TestResultsCarryTheirScoring:
+    """Each baseline returns its pair scored on the tuning set, exactly as
+    ``score_pairs`` scores it, and the CLI writes that scoring unchanged."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scored_sets, cost_matrices, st.floats(0.01, 0.99), ba_costs, ba_costs)
+    def test_solution_is_the_scored_pair(self, data, costs, k_max, cfn, cfp):
+        priors = empirical_priors(data)
+        tort = tortorella_optimize(data, costs, priors)
+        for res in (tort, ba_optimize(data, k_max, cfn, cfp)):
+            assert res.solution == score_pairs(data, [res.solution.thresholds])[0]
+        assert tort.cost == expected_cost(tort.solution.metrics, priors, costs)
+
+    @settings(max_examples=30, deadline=None)
+    @given(scored_sets, cost_matrices, st.floats(0.01, 0.99), ba_costs, ba_costs)
+    def test_baseline_json_holds_the_solution_record(self, data, costs, k_max, cfn, cfp):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "scores.csv")
+            write_scored_csv(data, path)
+            data = load_scored_csv(path)
+            runs = [
+                (
+                    ["--model", "tortorella", *(f"--{k}={v!r}" for k, v in asdict(costs).items())],
+                    tortorella_optimize(data, costs, empirical_priors(data)),
+                ),
+                (
+                    ["--model", "ba", f"--kmax={k_max!r}", f"--cfn={cfn!r}", f"--cfp={cfp!r}"],
+                    ba_optimize(data, k_max, cfn, cfp),
+                ),
+            ]
+            for k, (flags, res) in enumerate(runs):
+                out = os.path.join(tmp, str(k))
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(["baseline", "--scores", path, *flags, "--out", out]) == 0
+                with open(os.path.join(out, "baseline.json"), encoding="utf-8") as fh:
+                    assert json.load(fh)["solutions"] == [solution_record(res.solution)]
 
 
 def _reject_counts(data, t):

@@ -41,6 +41,9 @@ def run(*argv):
     return main(list(argv))
 
 
+_COSTS = ["--ctp", "0", "--ctn", "0", "--cfp", "5", "--cfn", "4", "--crp", "1", "--crn", "1"]
+
+
 def test_huge_thresholds_print_in_exponent_form(tmp_path, capsys):
     # fixed point would print a cut near the float limit with ~309 digits
     assert (_num(-2.5), _num(999_999.0), _num(-math.inf)) == ("-2.500000", "999999.000000", "-inf")
@@ -337,6 +340,14 @@ class TestCompareCosts:
         assert int(lower) + int(higher) + int(identical) == 6
         assert int(not_activated) <= int(identical)
 
+    def test_unknown_cost_model_is_usage_error(self, scores_csv, tmp_path, capsys):
+        out = tmp_path / "cc"
+        with pytest.raises(SystemExit) as e:
+            run("compare-costs", "--scores", scores_csv, "--cost-model", "cm5", "--out", str(out))
+        assert e.value.code == 1
+        assert "invalid choice: 'cm5'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCurves:
     def test_outputs(self, scores_csv, tmp_path):
@@ -581,6 +592,24 @@ class TestSelect:
         assert "bad thresholds" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("inside", [False, True], ids=["document", "solutions"])
+    @pytest.mark.parametrize(
+        "mode",
+        [["--mode", "min-cost", *_COSTS], ["--mode", "best-metric", "--metric", "auc"]],
+        ids=["min-cost", "best-metric"],
+    )
+    def test_deeply_nested_json_is_data_error(self, inside, mode, tmp_path, capsys):
+        # the JSON decoder recurses once per level and gives up with a RecursionError
+        nested = "[" * 100_000 + "]" * 100_000
+        path = tmp_path / "pareto.json"
+        path.write_text('{"solutions": %s}' % nested if inside else nested)
+        out = tmp_path / "sel"
+        assert run("select", "--pareto", str(path), *mode, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: invalid Pareto JSON {path}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_infinite_thresholds_are_valid(self, tmp_path):
         # baseline writes an infinite sentinel cut at the extreme float scores
         doc = fully_rejected_doc()
@@ -662,9 +691,6 @@ class TestSelect:
             "--out", str(tmp_path / "x"),
         )
         assert code == 1
-
-
-_COSTS = ["--ctp", "0", "--ctn", "0", "--cfp", "5", "--cfn", "4", "--crp", "1", "--crn", "1"]
 
 
 @pytest.mark.parametrize(

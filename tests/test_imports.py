@@ -2,6 +2,7 @@
 imports, and every function, class and method of the package is used."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -44,38 +45,88 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def span(node) -> tuple[str, int, int] | None:
+    """``(name, first line, last line)`` of a definition, decorators included;
+    None for a dunder method, since Python calls it itself."""
+    if node.name.startswith("__") and node.name.endswith("__"):
+        return None
+    return node.name, min([node.lineno] + [d.lineno for d in node.decorator_list]), node.end_lineno
+
+
 def definitions(tree: ast.Module):
-    """``(name, first line, last line)`` of each function, class and method a
-    module defines, decorators included; dunder methods are left out, since
-    Python calls them itself."""
+    """The span of each function, class and method a module defines."""
     for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if not (node.name.startswith("__") and node.name.endswith("__")):
-                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                yield node.name, first, node.end_lineno
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)) and (s := span(node)):
+            yield s
 
 
-def test_every_definition_in_src_is_used():
-    """A definition is used when its name appears outside its own source lines:
-    in the package (not counting the package root's re-exports), the demos,
-    the benchmark or the README."""
+def members(tree: ast.Module):
+    """``(class, name, first line, last line)`` of each method and property
+    defined in a class body; dunders are left out."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, FUNCTIONS) and (s := span(node)):
+                    yield (cls.name, *s)
+
+
+def used_elsewhere(pattern: str, path: Path, first: int, last: int, texts: dict) -> bool:
+    """Whether ``pattern`` matches outside lines ``first``..``last`` of ``path``:
+    in the rest of the package (not counting the package root's re-exports),
+    the demos, the benchmark or the README."""
+    lines = texts[path].splitlines(keepends=True)
+    rest = "".join(lines[: first - 1] + lines[last:])
+    others = (text for other, text in texts.items() if other != path)
+    return any(re.search(pattern, text) for text in (rest, *others))
+
+
+def sources() -> dict:
     texts = {
         path: path.read_text(encoding="utf-8")
         for folder in ("src", "demos", "perfbench")
         for path in sorted((ROOT / folder).rglob("*.py"))
         if path != REEXPORTS
     }
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    unused = []
-    for path in sorted((ROOT / "src").rglob("*.py")):
-        if path == REEXPORTS:
-            continue
-        lines = texts[path].splitlines(keepends=True)
-        for name, first, last in definitions(ast.parse(texts[path])):
-            rest = "".join(lines[: first - 1] + lines[last:])
-            others = (text for other, text in texts.items() if other != path)
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            if not any(word.search(text) for text in (rest, readme, *others)):
-                unused.append(f"{path.relative_to(ROOT)}:{first}: {name}")
+    texts[ROOT / "README.md"] = (ROOT / "README.md").read_text(encoding="utf-8")
     assert len(texts) > 10
+    return texts
+
+
+def src_modules():
+    return [path for path in sorted((ROOT / "src").rglob("*.py")) if path != REEXPORTS]
+
+
+def test_every_definition_in_src_is_used():
+    """A definition is used when its name appears outside its own source lines."""
+    texts = sources()
+    unused = [
+        f"{path.relative_to(ROOT)}:{first}: {name}"
+        for path in src_modules()
+        for name, first, last in definitions(ast.parse(texts[path]))
+        if not used_elsewhere(rf"\b{re.escape(name)}\b", path, first, last, texts)
+    ]
+    assert unused == []
+
+
+def test_every_method_in_src_is_read_as_an_attribute():
+    """A method or property is used when it is read as ``.name`` (or by
+    ``getattr``/``hasattr`` with the literal name) outside its own lines; a
+    name that the word alone would match can be a local variable elsewhere.
+    A method overriding an attribute of a base class is called by that
+    class's code, so it is exempt."""
+    texts = sources()
+    unused = []
+    for path in src_modules():
+        module = importlib.import_module(f"rejectopt.{path.stem}")
+        for cls, name, first, last in members(ast.parse(texts[path])):
+            bases = getattr(module, cls).__mro__[1:] if hasattr(module, cls) else ()
+            if any(hasattr(base, name) for base in bases):
+                continue
+            word = re.escape(name)
+            read = rf"""\.{word}\b|\b(?:get|has)attr\([^,()]+,\s*["']{word}["']"""
+            if not used_elsewhere(read, path, first, last, texts):
+                unused.append(f"{path.relative_to(ROOT)}:{first}: {cls}.{name}")
     assert unused == []
