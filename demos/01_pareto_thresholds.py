@@ -11,6 +11,7 @@ rejection.
 import json
 
 import rejectopt as ro
+from rejectopt.cli import pareto_document
 
 # Scores from a pretend classifier: positives centered at +1, negatives at
 # -1, enough overlap that some examples are genuinely ambiguous.
@@ -43,6 +44,6 @@ for g in gens[:: max(1, len(gens) // 5)]:
     print(f"  gen {g.generation:>3}: {g.min_f1:.4f}  {g.min_f2:.4f}  {g.feasible_count}")
 
 # The exportable document mirrors what the `rejectopt optimize` command writes.
-doc = ro.pareto_document(result, valid)
+doc = pareto_document(result, valid)
 print(f"\nexport preview: metadata {doc['metadata']}")
 print(f"first solution record: {json.dumps(doc['solutions'][0], sort_keys=True)}")

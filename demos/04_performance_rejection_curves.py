@@ -6,11 +6,8 @@ its best-AUC solution; the bounded-abstention model gets the overall cap
 k. Each selected classifier is then scored on the test set.
 """
 
-import os
-
 import rejectopt as ro
-from rejectopt.charts import line_chart_svg
-from rejectopt.harness import write_curve_csv
+from rejectopt.cli import write_curves
 
 full = ro.synth_two_gaussian(n_pos=300, n_neg=700, mu_pos=1.0, mu_neg=-1.0,
                              sigma=1.3, seed=2024)
@@ -32,15 +29,5 @@ for p in points:
 # instead of stalling.
 
 out_dir = "demo-output"
-os.makedirs(out_dir, exist_ok=True)
-write_curve_csv(os.path.join(out_dir, "curves.csv"), points)
-for attr, fname, title in (("acc", "acc_rej.svg", "ACC-Rej"),
-                           ("auc", "auc_rej.svg", "AUC-Rej"),
-                           ("gmean", "g_rej.svg", "G-Rej")):
-    series = {"moba": [], "ba": []}
-    for p in points:
-        series[p.model].append((p.reject_param, getattr(p, attr)))
-    svg = line_chart_svg(series, title, "abstention parameter", title.split("-")[0])
-    with open(os.path.join(out_dir, fname), "w") as fh:
-        fh.write(svg)
+write_curves(out_dir, points)
 print(f"\nwrote curves.csv and three SVG charts to {out_dir}/")

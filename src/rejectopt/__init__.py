@@ -34,7 +34,6 @@ from .harness import (
     sample_cost_matrix,
     select_best_under_cap,
     select_min_cost,
-    write_curve_csv,
 )
 from .metrics import (
     CostMatrix,
@@ -50,7 +49,6 @@ from .moba import (
     MobaConfig,
     evolve,
     hypervolume_2d,
-    pareto_document,
 )
 
 __version__ = "0.1.0"

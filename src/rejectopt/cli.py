@@ -17,6 +17,9 @@ is stratified-split 60/20/20 with --seed, the train part is discarded
 (scores are already given), thresholds are tuned on the validation part
 and evaluated on the test part. optimize and baseline tune on the whole
 file.
+
+This module defines every file the commands write or read; only the scores
+CSV is rejectopt.data's. The modules that compute the results write none.
 """
 
 from __future__ import annotations
@@ -26,20 +29,21 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, astuple, fields, replace
 
 from .baselines import ba_optimize, tortorella_optimize
 from .charts import line_chart_svg
 from .data import ScoredDataset, ScoresCsvError, SplitSpec, load_scored_csv, stratified_split
 from .harness import (
+    _METRIC_KEYS,
+    ComparisonCounts,
+    CurvePoint,
     NoEligibleSolutionError,
     builtin_cost_models,
     cost_comparison_experiment,
     curve_sweep,
     select_best_under_cap,
     select_min_cost,
-    write_comparison_csv,
-    write_curve_csv,
 )
 from .metrics import (
     ClassPriors,
@@ -51,7 +55,7 @@ from .metrics import (
     empirical_priors,
     expected_cost,
 )
-from .moba import MobaConfig, evolve, pareto_document, solution_record
+from .moba import EvolveResult, MobaConfig, evolve
 
 
 class UsageError(Exception):
@@ -73,9 +77,103 @@ def _write_json(path: str, doc: dict) -> None:
     _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _split_valid_test(data: ScoredDataset, seed: int) -> tuple[ScoredDataset, ScoredDataset]:
-    _, valid, test = stratified_split(data, SplitSpec(0.6, 0.2, 0.2, seed))
-    return valid, test
+def solution_record(s: SolutionEval) -> dict:
+    """JSON-ready record of one scored threshold pair: its rates and the
+    confusion counts behind them. A fully rejected class has a null among-
+    classified error rate (``None``), not the optimizer's death penalty."""
+    m = s.metrics
+    return {
+        "t1": s.thresholds.t1,
+        "t2": s.thresholds.t2,
+        "fpr": m.fpr_cls,
+        "fnr": m.fnr_cls,
+        "rpr": m.rpr,
+        "rnr": m.rnr,
+        "feasible": True,
+        "counts": asdict(s.counts),
+    }
+
+
+def pareto_document(result: EvolveResult, valid: ScoredDataset) -> dict:
+    """JSON-ready export of a run: solution records plus run metadata."""
+    solutions = [
+        solution_record(s) for s in sorted(result.pareto, key=lambda s: s.thresholds.as_tuple())
+    ]
+    cfg = result.config
+    return {
+        "metadata": {
+            "seed": cfg.seed,
+            "popsize": cfg.popsize,
+            "gensize": cfg.gensize,
+            "p_max": cfg.p_max,
+            "n_max": cfg.n_max,
+            "n_pos": valid.n_pos,
+            "n_neg": valid.n_neg,
+        },
+        "solutions": solutions,
+    }
+
+
+_COUNT_KEYS = tuple(f.name for f in fields(RejectionConfusion))
+
+
+def _read_record(rec, where: str) -> SolutionEval:
+    """One exported solution record, scored from its confusion counts. Its
+    thresholds must be JSON numbers, not bools; cuts can be ±Infinity."""
+    counts = rec.get("counts") if isinstance(rec, dict) else None
+    if not isinstance(counts, dict) or set(counts) != set(_COUNT_KEYS):
+        raise ScoresCsvError(f"{where}: needs counts {{{', '.join(_COUNT_KEYS)}}}")
+    for key, n in counts.items():
+        if type(n) is not int or n < 0:  # also rejects bools, floats and strings
+            raise ScoresCsvError(f"{where}: count {key} must be a non-negative integer, got {n!r}")
+    try:
+        t1, t2 = rec["t1"], rec["t2"]
+        if type(t1) not in (int, float) or type(t2) not in (int, float):  # also rejects bools
+            raise TypeError(f"thresholds must be numbers, got {t1!r} and {t2!r}")
+        t = ThresholdPair(float(t1), float(t2))
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise ScoresCsvError(f"{where}: bad thresholds: {e!r}") from None
+    c = RejectionConfusion(**counts)
+    if c.n_pos < 1 or c.n_neg < 1:
+        raise ScoresCsvError(f"{where}: counts must cover both classes")
+    return SolutionEval.from_counts(t, c)
+
+
+def _fmt(value: float | None) -> str:
+    return "nan" if value is None else repr(value)
+
+
+def write_comparison_csv(path, cost_model: str, counts: ComparisonCounts) -> None:
+    row = ",".join(map(str, (cost_model, *astuple(counts))))
+    _write_text(path, f"cost_model,lower,higher,identical,not_activated\n{row}\n")
+
+
+def write_curve_csv(path, points: list[CurvePoint]) -> None:
+    """``points`` in the order ``curve_sweep`` returns them."""
+    lines = ["reject_param,model,acc,auc,gmean,observed_rej"]
+    for p in points:
+        lines.append(
+            f"{p.reject_param!r},{p.model},{_fmt(p.acc)},{_fmt(p.auc)},"
+            f"{_fmt(p.gmean)},{p.observed_rej!r}"
+        )
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+_CHARTS = (("acc", "acc_rej.svg", "ACC-Rej"), ("auc", "auc_rej.svg", "AUC-Rej"),
+           ("gmean", "g_rej.svg", "G-Rej"))  # (CurvePoint attribute, file, title)
+
+
+def write_curves(out_dir: str, points: list[CurvePoint]) -> None:
+    """``curves.csv`` and one SVG chart per metric against the abstention
+    parameter, one line per model, in ``out_dir`` (made if missing)."""
+    os.makedirs(out_dir, exist_ok=True)
+    write_curve_csv(os.path.join(out_dir, "curves.csv"), points)
+    for attr, filename, title in _CHARTS:
+        series: dict[str, list[tuple[float, float | None]]] = {"moba": [], "ba": []}
+        for p in points:
+            series[p.model].append((p.reject_param, getattr(p, attr)))
+        svg = line_chart_svg(series, title, "abstention parameter", title.split("-")[0])
+        _write_text(os.path.join(out_dir, filename), svg)
 
 
 def _moba_config(args, p_max: float, n_max: float) -> MobaConfig:
@@ -95,12 +193,23 @@ def _moba_config(args, p_max: float, n_max: float) -> MobaConfig:
         raise UsageError(str(e)) from None
 
 
+def _protocol_inputs(args) -> tuple[MobaConfig, ScoredDataset, ScoredDataset]:
+    """The protocols' optimizer settings (each run sets its own caps) and the
+    validation and test parts of the 60/20/20 split of --scores."""
+    cfg = _moba_config(args, 0.5, 0.5)
+    split = SplitSpec(0.6, 0.2, 0.2, args.seed)
+    _, valid, test = stratified_split(load_scored_csv(args.scores), split)
+    return cfg, valid, test
+
+
+_COST_FLAGS = tuple(f.name for f in fields(CostMatrix))
+
+
 def _cost_matrix(args) -> CostMatrix:
-    values = (args.ctp, args.ctn, args.cfp, args.cfn, args.crp, args.crn)
+    values = [getattr(args, name) for name in _COST_FLAGS]
     if any(v is None for v in values):
-        raise UsageError(
-            "all six cost flags are required: --ctp --ctn --cfp --cfn --crp --crn"
-        )
+        flags = " ".join(f"--{name}" for name in _COST_FLAGS)
+        raise UsageError(f"all six cost flags are required: {flags}")
     try:
         return CostMatrix(*values)
     except ValueError as e:
@@ -165,19 +274,20 @@ def cmd_baseline(args) -> int:
             raise UsageError("ba needs --kmax")
         if not 0.0 < args.kmax < 1.0:
             raise UsageError(f"--kmax must lie in (0,1), got {args.kmax}")
-        if not (0.0 <= args.cfn < math.inf and 0.0 <= args.cfp < math.inf):
+        cfn, cfp = (1.0 if c is None else c for c in (args.cfn, args.cfp))
+        if not (0.0 <= cfn < math.inf and 0.0 <= cfp < math.inf):
             raise UsageError("--cfn and --cfp must be finite and non-negative")
         data = load_scored_csv(args.scores)
         try:  # the costs can still overflow against this file's class counts
-            res = ba_optimize(data, args.kmax, cfn=args.cfn, cfp=args.cfp)
+            res = ba_optimize(data, args.kmax, cfn=cfn, cfp=cfp)
         except ValueError as e:
             raise UsageError(str(e)) from None
         doc = {
             "metadata": {
                 "model": "ba",
                 "k_max": args.kmax,
-                "cfn": args.cfn,
-                "cfp": args.cfp,
+                "cfn": cfn,
+                "cfp": cfp,
                 "objective": res.objective,
                 "n_pos": data.n_pos,
                 "n_neg": data.n_neg,
@@ -198,9 +308,7 @@ def cmd_baseline(args) -> int:
 def cmd_compare_costs(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
-    cfg = _moba_config(args, 0.5, 0.5)  # caps are transferred per trial
-    data = load_scored_csv(args.scores)
-    valid, test = _split_valid_test(data, args.seed)
+    cfg, valid, test = _protocol_inputs(args)
     counts = cost_comparison_experiment(
         valid,
         test,
@@ -220,50 +328,11 @@ def cmd_compare_costs(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    cfg = _moba_config(args, 0.5, 0.5)  # caps are swept per grid point
-    data = load_scored_csv(args.scores)
-    valid, test = _split_valid_test(data, args.seed)
+    cfg, valid, test = _protocol_inputs(args)
     points = curve_sweep(valid, test, cfg, args.seed, metric=args.metric)
-    os.makedirs(args.out, exist_ok=True)
-    write_curve_csv(os.path.join(args.out, "curves.csv"), points)
-    charts = [
-        ("acc", "acc_rej.svg", "ACC-Rej"),
-        ("auc", "auc_rej.svg", "AUC-Rej"),
-        ("gmean", "g_rej.svg", "G-Rej"),
-    ]
-    for attr, filename, title in charts:
-        series: dict[str, list[tuple[float, float | None]]] = {"moba": [], "ba": []}
-        for p in points:
-            series[p.model].append((p.reject_param, getattr(p, attr)))
-        svg = line_chart_svg(series, title, "abstention parameter", title.split("-")[0])
-        _write_text(os.path.join(args.out, filename), svg)
-    print(f"wrote {len(points)} curve points and {len(charts)} charts to {args.out}")
+    write_curves(args.out, points)
+    print(f"wrote {len(points)} curve points and {len(_CHARTS)} charts to {args.out}")
     return 0
-
-
-_COUNT_KEYS = tuple(f.name for f in fields(RejectionConfusion))
-
-
-def _read_record(rec, where: str) -> SolutionEval:
-    """One exported solution record, scored from its confusion counts. Its
-    thresholds must be JSON numbers, not bools; cuts can be ±Infinity."""
-    counts = rec.get("counts") if isinstance(rec, dict) else None
-    if not isinstance(counts, dict) or set(counts) != set(_COUNT_KEYS):
-        raise ScoresCsvError(f"{where}: needs counts {{{', '.join(_COUNT_KEYS)}}}")
-    for key, n in counts.items():
-        if type(n) is not int or n < 0:  # also rejects bools, floats and strings
-            raise ScoresCsvError(f"{where}: count {key} must be a non-negative integer, got {n!r}")
-    try:
-        t1, t2 = rec["t1"], rec["t2"]
-        if type(t1) not in (int, float) or type(t2) not in (int, float):  # also rejects bools
-            raise TypeError(f"thresholds must be numbers, got {t1!r} and {t2!r}")
-        t = ThresholdPair(float(t1), float(t2))
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise ScoresCsvError(f"{where}: bad thresholds: {e!r}") from None
-    c = RejectionConfusion(**counts)
-    if c.n_pos < 1 or c.n_neg < 1:
-        raise ScoresCsvError(f"{where}: counts must cover both classes")
-    return SolutionEval.from_counts(t, c)
 
 
 def _prior_weighted(m: EssentialMetrics, priors: ClassPriors) -> EssentialMetrics:
@@ -331,14 +400,11 @@ def cmd_select(args) -> int:
             max_rnr=args.n_cap,
             max_rej=args.cap,
         )
-        value = {"acc": best.metrics.acc, "auc": best.metrics.auc, "g": best.metrics.gmean}[
-            args.metric
-        ]
         rationale = {
             "mode": "best-metric",
             "metric": args.metric,
             "caps": {"p_cap": args.p_cap, "n_cap": args.n_cap, "overall": args.cap},
-            "value": value,
+            "value": getattr(best.metrics, _METRIC_KEYS[args.metric]),
         }
 
     m = best.metrics
@@ -371,6 +437,13 @@ def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eta-m", type=float, default=20.0, dest="eta_m")
 
 
+def _add_cost_flags(p: argparse.ArgumentParser) -> None:
+    """One flag per CostMatrix entry, unset by default: tortorella and
+    select --mode min-cost need all six, ba reads only --cfn/--cfp (1 if unset)."""
+    for name in _COST_FLAGS:
+        p.add_argument(f"--{name}", type=float, default=None)
+
+
 def _optimize_parser(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--pmax", type=float, required=True, help="positive-class reject cap")
@@ -383,12 +456,7 @@ def _baseline_parser(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--model", choices=("ba", "tortorella"), required=True)
     p.add_argument("--kmax", type=float, default=None, help="ba: overall reject cap")
-    p.add_argument("--cfn", type=float, default=1.0)
-    p.add_argument("--cfp", type=float, default=1.0)
-    p.add_argument("--ctp", type=float, default=None)
-    p.add_argument("--ctn", type=float, default=None)
-    p.add_argument("--crp", type=float, default=None)
-    p.add_argument("--crn", type=float, default=None)
+    _add_cost_flags(p)
     p.set_defaults(func=cmd_baseline)
 
 
@@ -420,12 +488,7 @@ def _select_parser(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p-pos", type=float, default=None, dest="p_pos",
                    help="positive-class prior for expected cost, acc and rej "
                         "(default: from the records' class counts)")
-    p.add_argument("--ctp", type=float, default=None)
-    p.add_argument("--ctn", type=float, default=None)
-    p.add_argument("--cfp", type=float, default=None)
-    p.add_argument("--cfn", type=float, default=None)
-    p.add_argument("--crp", type=float, default=None)
-    p.add_argument("--crn", type=float, default=None)
+    _add_cost_flags(p)
     p.set_defaults(func=cmd_select)
 
 
@@ -472,13 +535,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (ScoresCsvError, OSError) as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 2
-    except NoEligibleSolutionError as e:
+    except NoEligibleSolutionError as e:  # a ValueError, so caught before them
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
+    except (ValueError, OSError) as e:  # ScoresCsvError is a ValueError
         print(f"data error: {e}", file=sys.stderr)
         return 2
 

@@ -27,7 +27,7 @@ import traceback
 from collections import Counter
 from collections.abc import Callable, Iterator
 from contextlib import closing, suppress
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -375,25 +375,3 @@ def curve_sweep(
         points = [p for pair in runs for p in pair]
     points.sort(key=lambda p: (p.reject_param, p.model))
     return points
-
-
-def _fmt(value: float | None) -> str:
-    return "nan" if value is None else repr(value)
-
-
-def write_comparison_csv(path, cost_model: str, counts: ComparisonCounts) -> None:
-    row = ",".join(map(str, (cost_model, *astuple(counts))))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"cost_model,lower,higher,identical,not_activated\n{row}\n")
-
-
-def write_curve_csv(path, points: list[CurvePoint]) -> None:
-    """``points`` in the order ``curve_sweep`` returns them."""
-    lines = ["reject_param,model,acc,auc,gmean,observed_rej"]
-    for p in points:
-        lines.append(
-            f"{p.reject_param!r},{p.model},{_fmt(p.acc)},{_fmt(p.auc)},"
-            f"{_fmt(p.gmean)},{p.observed_rej!r}"
-        )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")

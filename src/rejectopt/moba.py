@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -442,40 +442,3 @@ def hypervolume_2d(points: list[Objectives]) -> float:
             hv += (1.0 - f1) * (prev_f2 - f2)
             prev_f2 = f2
     return hv
-
-
-def solution_record(s: SolutionEval) -> dict:
-    """JSON-ready record of one scored threshold pair: its rates and the
-    confusion counts behind them. A fully rejected class has a null among-
-    classified error rate (``None``), not the optimizer's death penalty."""
-    m = s.metrics
-    return {
-        "t1": s.thresholds.t1,
-        "t2": s.thresholds.t2,
-        "fpr": m.fpr_cls,
-        "fnr": m.fnr_cls,
-        "rpr": m.rpr,
-        "rnr": m.rnr,
-        "feasible": True,
-        "counts": asdict(s.counts),
-    }
-
-
-def pareto_document(result: EvolveResult, valid: ScoredDataset) -> dict:
-    """JSON-ready export of a run: solution records plus run metadata."""
-    solutions = [
-        solution_record(s) for s in sorted(result.pareto, key=lambda s: s.thresholds.as_tuple())
-    ]
-    cfg = result.config
-    return {
-        "metadata": {
-            "seed": cfg.seed,
-            "popsize": cfg.popsize,
-            "gensize": cfg.gensize,
-            "p_max": cfg.p_max,
-            "n_max": cfg.n_max,
-            "n_pos": valid.n_pos,
-            "n_neg": valid.n_neg,
-        },
-        "solutions": solutions,
-    }

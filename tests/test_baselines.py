@@ -22,7 +22,7 @@ from rejectopt.baselines import (
     rocch,
     tortorella_optimize,
 )
-from rejectopt.cli import main
+from rejectopt.cli import main, solution_record
 from rejectopt.data import ScoredDataset, load_scored_csv, synth_two_gaussian, write_scored_csv
 from rejectopt.harness import builtin_cost_models, sample_cost_matrix
 from rejectopt.metrics import (
@@ -36,7 +36,6 @@ from rejectopt.metrics import (
     expected_cost,
     score_pairs,
 )
-from rejectopt.moba import solution_record
 
 
 def make_dataset(pairs):

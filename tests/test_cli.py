@@ -15,7 +15,14 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import rejectopt
-from rejectopt.cli import _invoked_command, _num, _read_record, build_parser, main
+from rejectopt.cli import (
+    _invoked_command,
+    _num,
+    _read_record,
+    build_parser,
+    main,
+    solution_record,
+)
 from rejectopt.data import ScoredDataset, load_scored_csv, synth_two_gaussian, write_scored_csv
 from rejectopt.metrics import (
     ClassPriors,
@@ -27,7 +34,6 @@ from rejectopt.metrics import (
     essential_metrics,
     expected_cost,
 )
-from rejectopt.moba import solution_record
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +303,21 @@ class TestBaseline:
             "--out", str(tmp_path / "o"),
         )
         assert code == 1
+
+    @pytest.mark.parametrize("flag", _COSTS[::2])
+    def test_tortorella_needs_every_cost_flag(self, scores_csv, tmp_path, capsys, flag):
+        # only ba gives --cfn and --cfp a default (1); tortorella needs every entry
+        out, i = tmp_path / "o", _COSTS.index(flag)
+        costs = _COSTS[:i] + _COSTS[i + 2:]
+        code = run(
+            "baseline", "--scores", scores_csv, "--model", "tortorella", *costs,
+            "--out", str(out),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: all six cost flags are required: --ctp --ctn --cfp --cfn --crp --crn\n"
+        )
+        assert not out.exists()
 
     def test_deterministic_output(self, scores_csv, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

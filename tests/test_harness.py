@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rejectopt.cli import write_comparison_csv, write_curve_csv
 from rejectopt.data import synth_two_gaussian, stratified_split, SplitSpec
 from rejectopt.harness import (
     ComparisonCounts,
@@ -20,8 +21,6 @@ from rejectopt.harness import (
     sample_cost_matrix,
     select_best_under_cap,
     select_min_cost,
-    write_comparison_csv,
-    write_curve_csv,
 )
 from rejectopt.metrics import (
     CostMatrix,

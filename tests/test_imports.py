@@ -130,3 +130,59 @@ def test_every_method_in_src_is_read_as_an_attribute():
             if not used_elsewhere(read, path, first, last, texts):
                 unused.append(f"{path.relative_to(ROOT)}:{first}: {cls}.{name}")
     assert unused == []
+
+
+def modules_with_their_trees():
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def text_writes(tree: ast.Module):
+    """Line of each ``open`` call whose literal mode writes text ("w", "a",
+    "x" or "+" without "b"). Binary modes are left out: the harness opens
+    the two ends of each worker's pipe "rb" and "wb"."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+            modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[1:2]
+            for mode in modes:
+                if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+                    if set(mode.value) & set("wax+") and "b" not in mode.value:
+                        yield node.lineno
+
+
+def imported_modules(tree: ast.Module):
+    """``(line, module)`` of each import, the package's own modules by their
+    bare names (``from .charts import x`` gives ``charts``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.lineno, node.module.removeprefix("rejectopt.")
+        elif isinstance(node, ast.ImportFrom):  # from . import charts
+            for alias in node.names:
+                yield node.lineno, alias.name
+
+
+def test_only_cli_and_data_write_files():
+    """cli.py writes every command's output and data.py the scores CSV; the
+    modules that compute results write no file."""
+    writes = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path, tree in modules_with_their_trees()
+        if path.name not in ("cli.py", "data.py")
+        for line in text_writes(tree)
+    ]
+    assert writes == []
+
+
+def test_only_cli_imports_json_and_the_charts():
+    """The JSON records and the SVG charts are output formats, which cli.py owns."""
+    imports = [
+        f"{path.relative_to(ROOT)}:{line}: {module}"
+        for path, tree in modules_with_their_trees()
+        if path.name != "cli.py"
+        for line, module in imported_modules(tree)
+        if module.partition(".")[0] in ("json", "charts")
+    ]
+    assert imports == []

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from rejectopt.cli import pareto_document
 from rejectopt.data import ScoredDataset, synth_two_gaussian
 from rejectopt.metrics import ThresholdPair, classify_with_rejection, essential_metrics
 from rejectopt.moba import (
@@ -13,7 +14,6 @@ from rejectopt.moba import (
     evaluate_batch,
     evolve,
     hypervolume_2d,
-    pareto_document,
 )
 
 
