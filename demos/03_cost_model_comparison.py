@@ -10,25 +10,23 @@ counts per cost model: lower / higher / identical.
 
 import rejectopt as ro
 
-# One synthetic dataset 60/20/20: train scores are discarded (a real run
-# would have used them to fit the scorer), thresholds are tuned on the
+# One synthetic dataset split 60/20/20: the train part is left out (a real
+# run would have used it to fit the scorer), thresholds are tuned on the
 # validation part and judged on the test part.
 full = ro.synth_two_gaussian(n_pos=150, n_neg=350, mu_pos=1.0, mu_neg=-1.0,
                              sigma=1.2, seed=11)
-_, valid, test = ro.stratified_split(full, ro.SplitSpec(0.6, 0.2, 0.2, seed=5))
+valid, test = ro.stratified_split(full, seed=5)
 print(f"validation {len(valid)} examples, test {len(test)} examples")
 
 models = ro.builtin_cost_models()
 print("cost models:", ", ".join(models))
 
 # 60 matrices per model keeps this demo quick; the experiment command runs
-# the full 1000 by default. The master seed fans out one child per trial,
-# so trial order never matters.
-cfg = ro.MobaConfig(p_max=0.5, n_max=0.5, popsize=20, gensize=60)
+# the full 1000 by default. The config's seed is the master seed; it fans
+# out one child per trial, so trial order never matters.
+cfg = ro.MobaConfig(p_max=0.5, n_max=0.5, popsize=20, gensize=60, seed=2718)
 for cm_id in ("cm1", "cm4"):
-    counts = ro.cost_comparison_experiment(
-        valid, test, models[cm_id], trials=60, cfg=cfg, seed=2718
-    )
+    counts = ro.cost_comparison_experiment(valid, test, models[cm_id], trials=60, cfg=cfg)
     print(f"\n{cm_id}")
     print(f"  lower     {counts.lower}")
     print(f"  higher    {counts.higher}")

@@ -11,12 +11,12 @@ from rejectopt.cli import write_curves
 
 full = ro.synth_two_gaussian(n_pos=300, n_neg=700, mu_pos=1.0, mu_neg=-1.0,
                              sigma=1.3, seed=2024)
-_, valid, test = ro.stratified_split(full, ro.SplitSpec(0.6, 0.2, 0.2, seed=99))
+valid, test = ro.stratified_split(full, seed=99)
 print(f"class imbalance p(+) = {ro.empirical_priors(valid).p_pos:.2f}; "
       f"budget grid {ro.default_sweep_grid()}")
 
-cfg = ro.MobaConfig(p_max=0.5, n_max=0.5, popsize=20, gensize=100)
-points = ro.curve_sweep(valid, test, cfg, seed=1, metric="auc")
+cfg = ro.MobaConfig(p_max=0.5, n_max=0.5, popsize=20, gensize=100, seed=1)
+points = ro.curve_sweep(valid, test, cfg, metric="auc")
 
 print(f"\n{'k':>5} {'model':>6} {'acc':>7} {'auc':>7} {'gmean':>7} {'rej':>6}")
 for p in points:

@@ -19,7 +19,6 @@ from .baselines import (
 from .data import (
     ScoredDataset,
     ScoresCsvError,
-    SplitSpec,
     load_scored_csv,
     stratified_split,
     synth_two_gaussian,
@@ -39,9 +38,7 @@ from .metrics import (
     CostMatrix,
     SolutionEval,
     ThresholdPair,
-    classify_with_rejection,
     empirical_priors,
-    essential_metrics,
     expected_cost,
 )
 from .moba import (

@@ -33,7 +33,7 @@ from dataclasses import asdict, astuple, fields, replace
 
 from .baselines import ba_optimize, tortorella_optimize
 from .charts import line_chart_svg
-from .data import ScoredDataset, ScoresCsvError, SplitSpec, load_scored_csv, stratified_split
+from .data import ScoredDataset, ScoresCsvError, load_scored_csv, stratified_split
 from .harness import (
     _METRIC_KEYS,
     ComparisonCounts,
@@ -56,6 +56,17 @@ from .metrics import (
     expected_cost,
 )
 from .moba import EvolveResult, MobaConfig, evolve
+
+
+# The top-level --help text; the notes above are for readers of the code.
+_DESCRIPTION = (
+    "Find Pareto-optimal reject-threshold pairs (t1, t2) for a file of "
+    "classifier scores, run two exact baselines and the two experiment "
+    "protocols, and pick one pair from a saved front. Exit codes: 0 success, "
+    "1 usage error, 2 data error, 3 no eligible solution (select)."
+)
+
+_METRICS = ("acc", "auc", "g")
 
 
 class UsageError(Exception):
@@ -176,33 +187,52 @@ def write_curves(out_dir: str, points: list[CurvePoint]) -> None:
         _write_text(os.path.join(out_dir, filename), svg)
 
 
+# MobaConfig field -> (flag, help): one flag per optimizer setting but the
+# caps, with the field's type and default. --seed also seeds the split.
+_OPTIMIZER_FLAGS = {
+    "popsize": ("--popsize", None),
+    "gensize": ("--gensize", None),
+    "crossover_prob": ("--pc", "crossover probability"),
+    "mutation_prob": ("--pm", "per-variable mutation probability"),
+    "eta_c": ("--eta-c", None),
+    "eta_m": ("--eta-m", None),
+    "seed": ("--seed", None),
+}
+
+
 def _moba_config(args, p_max: float, n_max: float) -> MobaConfig:
     try:
-        return MobaConfig(
-            p_max=p_max,
-            n_max=n_max,
-            popsize=args.popsize,
-            gensize=args.gensize,
-            crossover_prob=args.pc,
-            mutation_prob=args.pm,
-            eta_c=args.eta_c,
-            eta_m=args.eta_m,
-            seed=args.seed,
-        )
+        settings = {name: getattr(args, flag[2:].replace("-", "_"))
+                    for name, (flag, _) in _OPTIMIZER_FLAGS.items()}
+        return MobaConfig(p_max, n_max, **settings)
     except ValueError as e:
         raise UsageError(str(e)) from None
 
 
 def _protocol_inputs(args) -> tuple[MobaConfig, ScoredDataset, ScoredDataset]:
     """The protocols' optimizer settings (each run sets its own caps) and the
-    validation and test parts of the 60/20/20 split of --scores."""
+    validation and test parts of the split of --scores, both seeded by --seed."""
     cfg = _moba_config(args, 0.5, 0.5)
-    split = SplitSpec(0.6, 0.2, 0.2, args.seed)
-    _, valid, test = stratified_split(load_scored_csv(args.scores), split)
+    valid, test = stratified_split(load_scored_csv(args.scores), cfg.seed)
     return cfg, valid, test
 
 
 _COST_FLAGS = tuple(f.name for f in fields(CostMatrix))
+
+# Each --model or --mode choice -> the flags it does not read.
+_UNREAD = {
+    "ba": ("ctp", "ctn", "crp", "crn"),
+    "tortorella": ("kmax",),
+    "min-cost": ("metric", "cap", "p_cap", "n_cap"),
+    "best-metric": _COST_FLAGS,
+}
+
+
+def _refuse_unread(args, flag: str, choice: str) -> None:
+    """A usage error naming each given flag that ``flag choice`` does not read."""
+    given = [f"--{n.replace('_', '-')}" for n in _UNREAD[choice] if getattr(args, n) is not None]
+    if given:
+        raise UsageError(f"{flag} {choice} does not read {', '.join(given)}")
 
 
 def _cost_matrix(args) -> CostMatrix:
@@ -248,6 +278,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    _refuse_unread(args, "--model", args.model)
     if args.model == "tortorella":
         costs = _cost_matrix(args)
         data = load_scored_csv(args.scores)
@@ -315,7 +346,6 @@ def cmd_compare_costs(args) -> int:
         builtin_cost_models()[args.cost_model],
         args.trials,
         cfg,
-        args.seed,
         joint_correct=args.joint_correct_costs,
     )
     os.makedirs(args.out, exist_ok=True)
@@ -329,7 +359,7 @@ def cmd_compare_costs(args) -> int:
 
 def cmd_curves(args) -> int:
     cfg, valid, test = _protocol_inputs(args)
-    points = curve_sweep(valid, test, cfg, args.seed, metric=args.metric)
+    points = curve_sweep(valid, test, cfg, metric=args.metric)
     write_curves(args.out, points)
     print(f"wrote {len(points)} curve points and {len(_CHARTS)} charts to {args.out}")
     return 0
@@ -344,6 +374,7 @@ def _prior_weighted(m: EssentialMetrics, priors: ClassPriors) -> EssentialMetric
 
 
 def cmd_select(args) -> int:
+    _refuse_unread(args, "--mode", args.mode)
     if args.p_pos is not None and not 0.0 < args.p_pos < 1.0:
         raise UsageError("--p-pos must lie in (0,1)")
     for flag, cap in (("--cap", args.cap), ("--p-cap", args.p_cap), ("--n-cap", args.n_cap)):
@@ -392,7 +423,7 @@ def cmd_select(args) -> int:
         }
     else:
         if args.metric is None:
-            raise UsageError("best-metric needs --metric {acc,auc,g}")
+            raise UsageError(f"best-metric needs --metric {{{','.join(_METRICS)}}}")
         best = select_best_under_cap(
             solutions,
             args.metric,
@@ -424,22 +455,20 @@ def cmd_select(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scores", required=True, help="scores CSV (id,label,score)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
 
 
 def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--popsize", type=int, default=20)
-    p.add_argument("--gensize", type=int, default=100)
-    p.add_argument("--pc", type=float, default=0.9, help="crossover probability")
-    p.add_argument("--pm", type=float, default=0.5, help="per-variable mutation probability")
-    p.add_argument("--eta-c", type=float, default=20.0, dest="eta_c")
-    p.add_argument("--eta-m", type=float, default=20.0, dest="eta_m")
+    for f in fields(MobaConfig):
+        if f.name in _OPTIMIZER_FLAGS:
+            flag, help_text = _OPTIMIZER_FLAGS[f.name]
+            p.add_argument(flag, type=type(f.default), default=f.default, help=help_text)
 
 
 def _add_cost_flags(p: argparse.ArgumentParser) -> None:
     """One flag per CostMatrix entry, unset by default: tortorella and
-    select --mode min-cost need all six, ba reads only --cfn/--cfp (1 if unset)."""
+    select --mode min-cost need all six, ba reads only --cfn/--cfp (1 if unset)
+    and refuses the other four, and select --mode best-metric refuses all six."""
     for name in _COST_FLAGS:
         p.add_argument(f"--{name}", type=float, default=None)
 
@@ -462,7 +491,7 @@ def _baseline_parser(p: argparse.ArgumentParser) -> None:
 
 def _compare_costs_parser(p: argparse.ArgumentParser) -> None:
     _add_common(p)
-    p.add_argument("--cost-model", choices=("cm1", "cm2", "cm3", "cm4"), required=True)
+    p.add_argument("--cost-model", choices=tuple(builtin_cost_models()), required=True)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--joint-correct-costs", action="store_true")
     _add_optimizer_flags(p)
@@ -471,7 +500,7 @@ def _compare_costs_parser(p: argparse.ArgumentParser) -> None:
 
 def _curves_parser(p: argparse.ArgumentParser) -> None:
     _add_common(p)
-    p.add_argument("--metric", choices=("acc", "auc", "g"), default="auc",
+    p.add_argument("--metric", choices=_METRICS, default="auc",
                    help="selection metric for the bi-objective model")
     _add_optimizer_flags(p)
     p.set_defaults(func=cmd_curves)
@@ -481,7 +510,7 @@ def _select_parser(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pareto", required=True, help="pareto.json from optimize")
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=("min-cost", "best-metric"), required=True)
-    p.add_argument("--metric", choices=("acc", "auc", "g"), default=None)
+    p.add_argument("--metric", choices=_METRICS, default=None)
     p.add_argument("--cap", type=float, default=None, help="overall reject cap")
     p.add_argument("--p-cap", type=float, default=None, dest="p_cap")
     p.add_argument("--n-cap", type=float, default=None, dest="n_cap")
@@ -512,7 +541,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     flags and handler, or every command when ``command`` is None. argparse
     reads only the invoked command's flags, so a parser built for that
     command parses exactly as the full one does."""
-    parser = _Parser(prog="rejectopt", description=__doc__)
+    parser = _Parser(prog="rejectopt", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, (help_text, define) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)

@@ -1,4 +1,4 @@
-"""Scored-dataset ingestion, stratified splitting, and synthetic generation.
+"""Scored-dataset ingestion, the paper's stratified split, and synthetic generation.
 
 A scored dataset is the output of any external scoring classifier: one
 positive-class confidence score per example plus the binary ground-truth
@@ -8,7 +8,6 @@ label. Scores are consumed as-is; no scorer is trained here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NoReturn
 
@@ -72,26 +71,6 @@ class ScoredDataset:
 
     def score_range(self) -> tuple[float, float]:
         return float(self.scores.min()), float(self.scores.max())
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Train/validation/test fractions plus the shuffle seed."""
-
-    train_frac: float
-    valid_frac: float
-    test_frac: float
-    seed: int
-
-    def __post_init__(self) -> None:
-        for name in ("train_frac", "valid_frac", "test_frac"):
-            f = getattr(self, name)
-            if not 0.0 < f < 1.0:
-                raise ValueError(f"{name} must be in (0,1), got {f}")
-        if abs(self.train_frac + self.valid_frac + self.test_frac - 1.0) > 1e-9:
-            raise ValueError("split fractions must sum to 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
 
 def load_scored_csv(path) -> ScoredDataset:
@@ -198,9 +177,14 @@ def write_scored_csv(data: ScoredDataset, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _allocate(n: int, fracs: tuple[float, float, float]) -> list[int]:
+# The paper's split: train, validation, test. The train part fitted the
+# scorer, so only the other two are built here.
+_SPLIT_FRACS = (0.6, 0.2, 0.2)
+
+
+def _allocate(n: int) -> list[int]:
     # Largest-remainder rounding; remainder ties go to the earlier split.
-    raw = [n * f for f in fracs]
+    raw = [n * f for f in _SPLIT_FRACS]
     counts = [int(math.floor(r)) for r in raw]
     order = sorted(range(3), key=lambda i: (-(raw[i] - counts[i]), i))
     for i in range(n - sum(counts)):
@@ -208,39 +192,33 @@ def _allocate(n: int, fracs: tuple[float, float, float]) -> list[int]:
     return counts
 
 
-def stratified_split(
-    data: ScoredDataset, spec: SplitSpec
-) -> tuple[ScoredDataset, ScoredDataset, ScoredDataset]:
-    """Split into train/valid/test preserving class proportions per split.
+def stratified_split(data: ScoredDataset, seed: int) -> tuple[ScoredDataset, ScoredDataset]:
+    """The validation and test parts of the 60/20/20 train/validation/test
+    split, each preserving the class proportions.
 
-    Deterministic for a fixed seed; the three splits are disjoint and
-    exhaustive. Raises if either class cannot place at least one example
-    into every split.
+    Deterministic for a fixed seed; the parts are disjoint, and the train part
+    is the rest of ``data``. Raises if either class cannot place at least one
+    example into every part, the train part included.
     """
     if data.n_pos < 3 or data.n_neg < 3:
         raise ValueError("each class needs at least 3 examples to populate every split")
-    fracs = (spec.train_frac, spec.valid_frac, spec.test_frac)
-    rng = np.random.default_rng(spec.seed)
-    split_idx: list[list[int]] = [[], [], []]
+    rng = np.random.default_rng(seed)
+    rows: tuple[list, list] = ([], [])  # validation, test
     # Positive indices are shuffled first, then negative; documented draw order.
     for label in (POSITIVE, NEGATIVE):
         idx = np.flatnonzero(data.labels == label)
-        counts = _allocate(idx.size, fracs)
+        n_train, n_valid, _ = counts = _allocate(idx.size)
         if min(counts) < 1:
             raise ValueError(
                 f"class {label:+d} too small to populate every split "
                 f"(allocation {counts} from {idx.size} examples)"
             )
         perm = rng.permutation(idx)
-        start = 0
-        for k, c in enumerate(counts):
-            split_idx[k].extend(perm[start : start + c].tolist())
-            start += c
-    out = []
-    for idx_list in split_idx:
-        idx_arr = np.sort(np.asarray(idx_list, dtype=np.int64))  # keep original row order
-        out.append(ScoredDataset(data.scores[idx_arr], data.labels[idx_arr]))
-    return out[0], out[1], out[2]
+        rows[0].append(perm[n_train : n_train + n_valid])
+        rows[1].append(perm[n_train + n_valid :])
+    picks = (np.sort(np.concatenate(part)) for part in rows)  # original row order
+    valid, test = (ScoredDataset(data.scores[r], data.labels[r]) for r in picks)
+    return valid, test
 
 
 def synth_two_gaussian(

@@ -2,9 +2,10 @@
 performance-rejection curve sweeps, plus the two best-classifier
 selection rules.
 
-Seed discipline: one master seed fans out to per-trial (or per-grid-point)
-children; run k's is ``numpy.random.SeedSequence(master, spawn_key=(k,))``,
-the k-th child ``spawn`` gives, so any process can describe run k by itself.
+Seed discipline: the optimizer config's ``seed`` is the master seed. It fans
+out to per-trial (or per-grid-point) children; run k's is
+``numpy.random.SeedSequence(master, spawn_key=(k,))``, the k-th child
+``spawn`` gives, so any process can describe run k by itself.
 Its ``generate_state(2)`` yields the cost-sampler seed and the optimizer
 seed. Trials are therefore independent and reproducible in any order.
 
@@ -283,7 +284,6 @@ def cost_comparison_experiment(
     spec: CostModelSpec,
     trials: int,
     cfg: MobaConfig,
-    seed: int,
     joint_correct: bool = False,
 ) -> ComparisonCounts:
     """Count lower/higher/identical test-set costs of the bi-objective model
@@ -294,13 +294,14 @@ def cost_comparison_experiment(
     bi-objective model is constructed). Otherwise the baseline's per-class
     reject rates become the caps, the optimizer runs, the min-cost solution
     is selected on the tuning set, and both models' expected costs on the
-    test set are compared at ``_COST_TIE_TOL``.
+    test set are compared at ``_COST_TIE_TOL``. ``cfg.seed`` is the master
+    seed; each trial sets its own caps and optimizer seed.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     priors_valid = empirical_priors(valid)
     priors_test = empirical_priors(test)
-    entropy = np.random.SeedSequence(seed).entropy
+    entropy = np.random.SeedSequence(cfg.seed).entropy
 
     def trial(k: int) -> str:
         state = np.random.SeedSequence(entropy, spawn_key=(k,)).generate_state(2, np.uint64)
@@ -345,7 +346,6 @@ def curve_sweep(
     valid: ScoredDataset,
     test: ScoredDataset,
     cfg: MobaConfig,
-    seed: int,
     metric: str = "auc",
     grid: list[float] | None = None,
 ) -> list[CurvePoint]:
@@ -357,10 +357,11 @@ def curve_sweep(
     abstention model runs with overall cap k at unit misclassification
     costs, so it minimizes the classified error rate. Each selected
     classifier is scored on the test set; one point per (k, model), sorted
-    by k then model name.
+    by k then model name. ``cfg.seed`` is the master seed; each grid point
+    sets its own caps and optimizer seed.
     """
     grid = default_sweep_grid() if grid is None else list(grid)
-    entropy = np.random.SeedSequence(seed).entropy
+    entropy = np.random.SeedSequence(cfg.seed).entropy
 
     def grid_point(i: int) -> tuple[CurvePoint, CurvePoint]:
         k = grid[i]

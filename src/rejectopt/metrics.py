@@ -144,11 +144,12 @@ def confusion_counts(data: ScoredDataset, t1s, t2s) -> tuple[np.ndarray, ...]:
     """Vectorized rejection rule: counts for many threshold pairs at once.
 
     ``t1s`` and ``t2s`` are scalars or equal-shape arrays with t1 <= t2
-    elementwise. Returns (tp, fn, rp, fp, tn, rn), each an int64 array (or
-    numpy integer for scalar input) of the thresholds' shape, computed with
-    the same rule as :func:`classify_with_rejection`: each threshold is one
-    search into the dataset's distinct scores, and its per-class counts at
-    or below are read from :attr:`ScoredDataset.cut_table`.
+    elementwise. An example is predicted positive iff its score > t2,
+    negative iff its score <= t1, and rejected otherwise (score in (t1, t2]).
+    Returns (tp, fn, rp, fp, tn, rn), each an int64 array (or numpy integer
+    for scalar input) of the thresholds' shape: each threshold is one search
+    into the dataset's distinct scores, and its per-class counts at or below
+    are read from :attr:`ScoredDataset.cut_table`.
     """
     t1s = np.asarray(t1s, dtype=np.float64)
     t2s = np.asarray(t2s, dtype=np.float64)
@@ -160,15 +161,6 @@ def confusion_counts(data: ScoredDataset, t1s, t2s) -> tuple[np.ndarray, ...]:
     fn, tn = pos_le[i], neg_le[i]
     tp, fp = data.n_pos - pos_le[j], data.n_neg - neg_le[j]
     return tp, fn, pos_le[j] - fn, fp, tn, neg_le[j] - tn
-
-
-def classify_with_rejection(data: ScoredDataset, t: ThresholdPair) -> RejectionConfusion:
-    """Apply the rejection rule and tally counts against true labels.
-
-    Predicted positive iff score > t2; predicted negative iff score <= t1;
-    rejected otherwise (score in (t1, t2]).
-    """
-    return RejectionConfusion(*map(int, confusion_counts(data, t.t1, t.t2)))
 
 
 def score_pairs(data: ScoredDataset, pairs: list[ThresholdPair]) -> list[SolutionEval]:

@@ -12,7 +12,7 @@ import numpy as np
 
 import rejectopt as ro
 from rejectopt.cli import main as cli_main
-from rejectopt.metrics import ClassPriors, RejectionConfusion
+from rejectopt.metrics import ClassPriors, RejectionConfusion, essential_metrics, score_pairs
 from rejectopt.moba import (
     crowding_distance_assignment,
     fast_nondominated_sort,
@@ -341,10 +341,8 @@ def test_c09_harness_conservation():
     """Criterion 9: comparison counts sum exactly to trials at trials=1000."""
     valid = ro.synth_two_gaussian(40, 60, 0.8, -0.8, 1.0, seed=900)
     test = ro.synth_two_gaussian(40, 60, 0.8, -0.8, 1.0, seed=901)
-    cfg = ro.MobaConfig(p_max=0.5, n_max=0.5, popsize=8, gensize=12)
-    counts = ro.cost_comparison_experiment(
-        valid, test, ro.builtin_cost_models()["cm1"], 1000, cfg, seed=31
-    )
+    cfg = ro.MobaConfig(p_max=0.5, n_max=0.5, popsize=8, gensize=12, seed=31)
+    counts = ro.cost_comparison_experiment(valid, test, ro.builtin_cost_models()["cm1"], 1000, cfg)
     ok = (
         counts.lower + counts.higher + counts.identical == 1000
         and counts.not_activated <= counts.identical
@@ -359,28 +357,24 @@ def test_c09_harness_conservation():
 def test_c10_desk_scale_tradeoff():
     """Criterion 10: MOBA mean test AUC >= BA's at >= 70% of sweep grid points."""
     full = ro.synth_two_gaussian(300, 700, 1.0, -1.0, 1.3, seed=2024)
-    _, valid, test = ro.stratified_split(full, ro.SplitSpec(0.6, 0.2, 0.2, seed=99))
+    valid, test = ro.stratified_split(full, seed=99)
 
     # overlap sanity: best no-reject threshold on valid scores ~0.8 accuracy on test
     cands = midpoint_candidates(valid.scores)
     best_t = max(
         (float(c) for c in cands),
-        key=lambda c: ro.essential_metrics(
-            ro.classify_with_rejection(valid, ro.ThresholdPair(c, c))
-        ).acc,
+        key=lambda c: score_pairs(valid, [ro.ThresholdPair(c, c)])[0].metrics.acc,
     )
-    no_reject_acc = ro.essential_metrics(
-        ro.classify_with_rejection(test, ro.ThresholdPair(best_t, best_t))
-    ).acc
+    no_reject_acc = score_pairs(test, [ro.ThresholdPair(best_t, best_t)])[0].metrics.acc
     assert 0.75 <= no_reject_acc <= 0.86, f"fixture drifted: no-reject acc {no_reject_acc}"
 
     grid = ro.default_sweep_grid()
     n_seeds = 20
     moba = np.full((n_seeds, len(grid)), np.nan)
     ba = np.full((n_seeds, len(grid)), np.nan)
-    cfg = ro.MobaConfig(p_max=0.5, n_max=0.5, popsize=20, gensize=100)
     for s in range(n_seeds):
-        for p in ro.curve_sweep(valid, test, cfg, seed=s):
+        cfg = ro.MobaConfig(p_max=0.5, n_max=0.5, popsize=20, gensize=100, seed=s)
+        for p in ro.curve_sweep(valid, test, cfg):
             gi = grid.index(p.reject_param)
             v = p.auc if p.auc is not None else np.nan
             (moba if p.model == "moba" else ba)[s, gi] = v
@@ -443,7 +437,7 @@ def test_c12_cost_homogeneity():
         counts = [int(x) for x in rng.integers(0, 50, 6)]
         if counts[0] + counts[1] + counts[2] == 0 or counts[3] + counts[4] + counts[5] == 0:
             continue
-        m = ro.essential_metrics(RejectionConfusion(*counts))
+        m = essential_metrics(RejectionConfusion(*counts))
         p = float(rng.uniform(0.05, 0.95))
         priors = ClassPriors(p, 1 - p)
         values = [float(x) for x in rng.uniform(-10, 50, 6)]

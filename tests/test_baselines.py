@@ -30,7 +30,6 @@ from rejectopt.metrics import (
     RejectionConfusion,
     SolutionEval,
     ThresholdPair,
-    classify_with_rejection,
     empirical_priors,
     essential_metrics,
     expected_cost,
@@ -143,7 +142,7 @@ def dense_ba(valid, k_max, cfn=1.0, cfp=1.0):
     i, j = best_ij
     pair = ThresholdPair(float(cands[i]), float(cands[j]))
     return BaResult(
-        solution=SolutionEval.from_counts(pair, classify_with_rejection(valid, pair)),
+        solution=score_pairs(valid, [pair])[0],
         objective=float(best_obj),
     )
 
@@ -185,7 +184,7 @@ def loop_tortorella(valid, costs, priors):
         pairs = [(t, t) for t in thresholds]
     best_key = best = None
     for t1, t2 in pairs:
-        c = classify_with_rejection(valid, ThresholdPair(t1, t2))
+        c = score_pairs(valid, [ThresholdPair(t1, t2)])[0].counts
         m = essential_metrics(c)
         cost = expected_cost(m, priors, costs)
         key = (cost, m.rej, t2 - t1, t1, t2) if check.activated else (cost, t1)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import rejectopt
 from rejectopt.cli import (
     _invoked_command,
+    _moba_config,
     _num,
     _read_record,
     build_parser,
@@ -30,10 +31,11 @@ from rejectopt.metrics import (
     RejectionConfusion,
     SolutionEval,
     ThresholdPair,
-    classify_with_rejection,
     essential_metrics,
     expected_cost,
+    score_pairs,
 )
+from rejectopt.moba import MobaConfig
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +231,7 @@ class TestOptimize:
         assert (args.popsize, args.gensize) == (20, 100)
         assert (args.pc, args.pm) == (0.9, 0.5)
         assert (args.eta_c, args.eta_m) == (20.0, 20.0)
+        assert _moba_config(args, 0.1, 0.2) == MobaConfig(p_max=0.1, n_max=0.2)
 
 
 class TestBaseline:
@@ -317,6 +320,17 @@ class TestBaseline:
         assert capsys.readouterr().err == (
             "error: all six cost flags are required: --ctp --ctn --cfp --cfn --crp --crn\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["ba", "tortorella"])
+    def test_seed_is_no_baseline_flag(self, scores_csv, tmp_path, capsys, model):
+        # neither exact baseline draws a random number
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as done:
+            run("baseline", "--scores", scores_csv, "--model", model, "--seed", "1",
+                "--out", str(out))
+        assert done.value.code == 1
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_deterministic_output(self, scores_csv, tmp_path):
@@ -697,10 +711,10 @@ class TestSelect:
         labels[0], labels[-1] = 1, -1
         data = ScoredDataset([level / 3 for level, _ in examples], labels)
         t = ThresholdPair(*sorted(c / 6 for c in cuts))
-        c = classify_with_rejection(data, t)
+        c = score_pairs(data, [t])[0].counts
         rec = json.loads(json.dumps(solution_record(SolutionEval.from_counts(t, c))))
         read = _read_record(rec, "solution 0")
-        expected = essential_metrics(classify_with_rejection(data, t))
+        expected = essential_metrics(c)
         assert read.thresholds == t
         assert read.counts == c
         assert read.metrics == expected
@@ -733,6 +747,44 @@ def test_one_class_scores_file_is_data_error(argv, tmp_path, capsys):
         "data error: dataset must contain both classes (n_pos=3, n_neg=0)\n"
     )
     assert not out.exists()
+
+
+_SELECT_CAPS = ["--metric", "auc", "--cap", "0.1", "--p-cap", "0.1", "--n-cap", "0.1"]
+# (argv, the flags named in the error as unread by the --model or --mode choice)
+_UNREAD_CASES = [
+    *((["baseline", "--model", "ba", "--kmax", "0.1", f, "2"], f)
+      for f in ("--ctp", "--ctn", "--crp", "--crn")),
+    (["baseline", "--model", "ba", "--kmax", "0.1", "--crn", "2", "--ctp", "1"], "--ctp, --crn"),
+    (["baseline", "--model", "tortorella", *_COSTS, "--kmax", "0.1"], "--kmax"),
+    *((["select", "--mode", "best-metric", "--metric", "auc", f, "2"], f) for f in _COSTS[::2]),
+    *((["select", "--mode", "min-cost", *_COSTS, f, v], f)
+      for f, v in zip(_SELECT_CAPS[::2], _SELECT_CAPS[1::2])),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, unread", _UNREAD_CASES, ids=[f"{argv[2]} {unread}" for argv, unread in _UNREAD_CASES]
+)
+def test_a_flag_the_choice_does_not_read_is_a_usage_error(argv, unread, tmp_path, capsys):
+    # the input does not exist: the flags are refused before it would be read
+    missing, out = tmp_path / "missing", tmp_path / "out"
+    source = "--scores" if argv[0] == "baseline" else "--pareto"
+    assert run(*argv, source, str(missing), "--out", str(out)) == 1
+    choice = " ".join(argv[1:3])
+    assert capsys.readouterr().err == f"error: {choice} does not read {unread}\n"
+    assert not out.exists()
+
+
+def test_top_level_help_leaves_out_the_module_notes(capsys):
+    with pytest.raises(SystemExit) as done:
+        run("--help")
+    assert done.value.code == 0
+    printed = " ".join(capsys.readouterr().out.split())
+    notes = rejectopt.cli.__doc__.split("\n\n")[1:]
+    assert len(notes) >= 3
+    for paragraph in notes:
+        for sentence in re.split(r"(?<=\.)\s+", paragraph.strip()):
+            assert " ".join(sentence.split()) not in printed
 
 
 def test_import_leaves_the_process_pool_unloaded():

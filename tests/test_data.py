@@ -14,7 +14,6 @@ from rejectopt.data import (
     POSITIVE,
     ScoredDataset,
     ScoresCsvError,
-    SplitSpec,
     load_scored_csv,
     stratified_split,
     synth_two_gaussian,
@@ -320,64 +319,57 @@ class TestScoresCsvThroughCli:
 class TestStratifiedSplit:
     def test_exact_fractions(self):
         data = synth_two_gaussian(50, 50, 1.0, -1.0, 1.0, seed=0)
-        spec = SplitSpec(0.6, 0.2, 0.2, seed=7)
-        train, valid, test = stratified_split(data, spec)
-        assert (len(train), len(valid), len(test)) == (60, 20, 20)
-        assert (train.n_pos, valid.n_pos, test.n_pos) == (30, 10, 10)
+        valid, test = stratified_split(data, seed=7)
+        assert (len(valid), len(test)) == (20, 20)
+        assert (valid.n_pos, test.n_pos) == (10, 10)
 
     def test_deterministic(self):
         data = synth_two_gaussian(40, 60, 1.0, -1.0, 1.0, seed=3)
-        spec = SplitSpec(0.6, 0.2, 0.2, seed=7)
-        a = stratified_split(data, spec)
-        b = stratified_split(data, spec)
+        a = stratified_split(data, seed=7)
+        b = stratified_split(data, seed=7)
         for x, y in zip(a, b):
             assert np.array_equal(x.scores, y.scores)
             assert np.array_equal(x.labels, y.labels)
 
     def test_small_balanced(self):
         data = synth_two_gaussian(5, 5, 1.0, -1.0, 1.0, seed=1)
-        train, valid, test = stratified_split(data, SplitSpec(0.6, 0.2, 0.2, seed=0))
-        assert (len(train), len(valid), len(test)) == (6, 2, 2)
-        for part in (train, valid, test):
-            assert part.n_pos >= 1 and part.n_neg >= 1
-        assert (train.n_pos, valid.n_pos, test.n_pos) == (3, 1, 1)
+        valid, test = stratified_split(data, seed=0)
+        assert (len(valid), len(test)) == (2, 2)
+        assert (valid.n_pos, test.n_pos) == (1, 1)
 
-    def test_union_is_input_multiset(self):
+    def test_parts_are_disjoint_rows_of_input(self):
         rng = np.random.default_rng(11)
         for seed in range(8):
             n_pos = int(rng.integers(5, 40))
             n_neg = int(rng.integers(5, 40))
             data = synth_two_gaussian(n_pos, n_neg, 1.0, -1.0, 1.0, seed=seed)
-            fr = rng.dirichlet([4, 4, 4])
-            fr = fr * 0.8 + np.array([0.1, 0.05, 0.05])  # keep every fraction workable
-            fr = fr / fr.sum()
-            parts = stratified_split(data, SplitSpec(fr[0], fr[1], fr[2], seed=seed))
-            combined = sorted(
-                ex for part in parts for ex in zip(part.scores.tolist(), part.labels.tolist())
-            )
-            original = sorted(zip(data.scores.tolist(), data.labels.tolist()))
-            assert combined == original
+            row = {ex: k for k, ex in enumerate(zip(data.scores.tolist(), data.labels.tolist()))}
+            assert len(row) == len(data)  # continuous scores: each row is its own key
+            rows = [
+                [row[ex] for ex in zip(part.scores.tolist(), part.labels.tolist())]
+                for part in stratified_split(data, seed=seed)
+            ]
+            for part_rows in rows:
+                assert part_rows == sorted(part_rows)  # original row order
+            assert not set(rows[0]) & set(rows[1])
+            assert len(data) - len(rows[0]) - len(rows[1]) >= 0.6 * len(data) - 2
 
     def test_proportions_within_one_example(self):
         data = synth_two_gaussian(37, 91, 1.0, -1.0, 1.0, seed=2)
-        parts = stratified_split(data, SplitSpec(0.5, 0.3, 0.2, seed=5))
-        for part, frac in zip(parts, (0.5, 0.3, 0.2)):
-            assert abs(part.n_pos - 37 * frac) <= 1
-            assert abs(part.n_neg - 91 * frac) <= 1
+        for part in stratified_split(data, seed=5):
+            assert abs(part.n_pos - 37 * 0.2) <= 1
+            assert abs(part.n_neg - 91 * 0.2) <= 1
 
     def test_class_too_small(self):
         data = ScoredDataset([0.1, 0.2, 0.9, 0.8, 0.7], [1, 1, -1, -1, -1])
         with pytest.raises(ValueError, match="at least 3"):
-            stratified_split(data, SplitSpec(0.6, 0.2, 0.2, seed=0))
+            stratified_split(data, seed=0)
 
     def test_split_cell_would_be_empty(self):
+        # 3 positives are allocated [2, 1, 0]: none is left for the test part
         data = synth_two_gaussian(3, 100, 1.0, -1.0, 1.0, seed=0)
-        with pytest.raises(ValueError, match="too small"):
-            stratified_split(data, SplitSpec(0.9, 0.05, 0.05, seed=0))
-
-    def test_fraction_sum_checked(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            SplitSpec(0.6, 0.2, 0.1, seed=0)
+        with pytest.raises(ValueError, match=r"too small .*\[2, 1, 0\]"):
+            stratified_split(data, seed=0)
 
 
 class TestSynthTwoGaussian:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from rejectopt.cli import write_comparison_csv, write_curve_csv
-from rejectopt.data import synth_two_gaussian, stratified_split, SplitSpec
+from rejectopt.data import synth_two_gaussian, stratified_split
 from rejectopt.harness import (
     ComparisonCounts,
     CostModelSpec,
@@ -24,10 +24,9 @@ from rejectopt.harness import (
 )
 from rejectopt.metrics import (
     CostMatrix,
-    classify_with_rejection,
     empirical_priors,
-    essential_metrics,
     expected_cost,
+    score_pairs,
 )
 from rejectopt.moba import MobaConfig, evolve
 
@@ -35,7 +34,7 @@ from rejectopt.moba import MobaConfig, evolve
 @pytest.fixture(scope="module")
 def splits():
     full = synth_two_gaussian(80, 120, 0.8, -0.8, 1.0, seed=33)
-    _, valid, test = stratified_split(full, SplitSpec(0.6, 0.2, 0.2, seed=4))
+    valid, test = stratified_split(full, seed=4)
     return valid, test
 
 
@@ -187,19 +186,17 @@ class TestSelection:
 class TestCostComparisonExperiment:
     def test_counts_conserved_small(self, splits):
         valid, test = splits
-        cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=8, gensize=8)
-        counts = cost_comparison_experiment(
-            valid, test, builtin_cost_models()["cm1"], 12, cfg, seed=3
-        )
+        cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=8, gensize=8, seed=3)
+        counts = cost_comparison_experiment(valid, test, builtin_cost_models()["cm1"], 12, cfg)
         assert counts.lower + counts.higher + counts.identical == 12
         assert counts.not_activated <= counts.identical
 
     def test_deterministic(self, splits):
         valid, test = splits
-        cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=8, gensize=8)
+        cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=8, gensize=8, seed=7)
         spec = builtin_cost_models()["cm1"]
-        a = cost_comparison_experiment(valid, test, spec, 8, cfg, seed=7)
-        b = cost_comparison_experiment(valid, test, spec, 8, cfg, seed=7)
+        a = cost_comparison_experiment(valid, test, spec, 8, cfg)
+        b = cost_comparison_experiment(valid, test, spec, 8, cfg)
         assert a == b
 
     def test_hand_built_not_activated_matrix(self, splits):
@@ -207,11 +204,11 @@ class TestCostComparisonExperiment:
         # fixed entries violating the activation inequality for every trial
         spec = CostModelSpec(ctp=-1.0, ctn=-50.0, cfp=1.0, cfn=1.0, crp=0.0, crn=0.0)
         cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=8, gensize=8)
-        counts = cost_comparison_experiment(valid, test, spec, 1, cfg, seed=0)
+        counts = cost_comparison_experiment(valid, test, spec, 1, cfg)
         assert counts == ComparisonCounts(lower=0, higher=0, identical=1, not_activated=1)
 
     def test_one_seed_child_per_trial(self, splits, monkeypatch):
-        # trial k samples its costs from the k-th child of the master seed
+        # trial k samples its costs from the k-th child of the master seed, cfg.seed
         import rejectopt.harness as harness
 
         drawn = []
@@ -224,11 +221,11 @@ class TestCostComparisonExperiment:
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)  # sample in this process
         valid, test = splits
         spec = builtin_cost_models()["cm1"]
-        cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=8, gensize=4)
-        cost_comparison_experiment(valid, test, spec, 3, cfg, seed=0)
+        cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=8, gensize=4, seed=9)
+        cost_comparison_experiment(valid, test, spec, 3, cfg)
         expected = [
             sample_cost_matrix(spec, np.random.default_rng(int(c.generate_state(2, np.uint64)[0])))
-            for c in np.random.SeedSequence(0).spawn(3)
+            for c in np.random.SeedSequence(9).spawn(3)
         ]
         assert drawn == expected
 
@@ -236,7 +233,7 @@ class TestCostComparisonExperiment:
         valid, test = splits
         cfg = MobaConfig(p_max=0.5, n_max=0.5)
         with pytest.raises(ValueError, match="trials"):
-            cost_comparison_experiment(valid, test, builtin_cost_models()["cm1"], 0, cfg, seed=0)
+            cost_comparison_experiment(valid, test, builtin_cost_models()["cm1"], 0, cfg)
 
 
 class TestCurveSweep:
@@ -248,9 +245,9 @@ class TestCurveSweep:
 
     def test_point_count_and_order(self, splits):
         valid, test = splits
-        cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=12, gensize=15)
+        cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=12, gensize=15, seed=1)
         grid = [0.08, 0.16, 0.24]
-        points = curve_sweep(valid, test, cfg, seed=1, grid=grid)
+        points = curve_sweep(valid, test, cfg, grid=grid)
         assert len(points) == 6
         assert [(p.reject_param, p.model) for p in points] == [
             (0.08, "ba"),
@@ -263,9 +260,9 @@ class TestCurveSweep:
 
     def test_deterministic(self, splits):
         valid, test = splits
-        cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=12, gensize=15)
-        a = curve_sweep(valid, test, cfg, seed=5, grid=[0.1, 0.2])
-        b = curve_sweep(valid, test, cfg, seed=5, grid=[0.1, 0.2])
+        cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=12, gensize=15, seed=5)
+        a = curve_sweep(valid, test, cfg, grid=[0.1, 0.2])
+        b = curve_sweep(valid, test, cfg, grid=[0.1, 0.2])
         assert a == b
 
     def test_equal_caps_imply_overall_cap_on_tuning_set(self, splits):
@@ -274,7 +271,7 @@ class TestCurveSweep:
         k = 0.15
         result = evolve(valid, MobaConfig(p_max=k, n_max=k, popsize=8, gensize=15, seed=0))
         for ind in result.pareto:
-            m = essential_metrics(classify_with_rejection(valid, ind.thresholds))
+            m = score_pairs(valid, [ind.thresholds])[0].metrics
             assert m.rej <= k + 1e-12
 
 
@@ -311,14 +308,13 @@ class TestWorkerProcesses:
     @pytest.mark.parametrize("protocol", ["compare-costs", "curves"])
     def test_same_results_from_one_and_two_workers(self, splits, monkeypatch, tmp_path, protocol):
         valid, test = splits
-        cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=8, gensize=8)
+        cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=8, gensize=8, seed=3)
 
         def run():
             if protocol == "compare-costs":
-                return cost_comparison_experiment(
-                    valid, test, builtin_cost_models()["cm4"], 12, cfg, seed=3
-                )
-            return curve_sweep(valid, test, cfg, seed=3, grid=[0.04, 0.12, 0.2, 0.28])
+                spec = builtin_cost_models()["cm4"]
+                return cost_comparison_experiment(valid, test, spec, 12, cfg)
+            return curve_sweep(valid, test, cfg, grid=[0.04, 0.12, 0.2, 0.28])
 
         results, steps, pids = [], [], []
         for n in (1, 2):
@@ -345,9 +341,9 @@ class TestWorkerProcesses:
         self.force_cpus(monkeypatch, 2)
         monkeypatch.setattr(harness, "evolve", evolve_failing_at_016)
         valid, test = splits
-        cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=8, gensize=8)
+        cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=8, gensize=8, seed=1)
         with pytest.raises(ValueError, match="run failed at 0.16"):
-            curve_sweep(valid, test, cfg, seed=1, grid=[0.08, 0.12, 0.16, 0.2, 0.24, 0.28])
+            curve_sweep(valid, test, cfg, grid=[0.08, 0.12, 0.16, 0.2, 0.24, 0.28])
 
     @staticmethod
     def slow_runs(monkeypatch):
@@ -393,15 +389,15 @@ class TestWorkerProcesses:
         self.force_cpus(monkeypatch, 2)
         monkeypatch.setattr(harness, "evolve", evolve_failing_at_016)
         valid, test = splits
-        cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=8, gensize=8)
+        cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=8, gensize=8, seed=1)
         with pytest.raises(RuntimeError, match=raised):
-            curve_sweep(valid, test, cfg, seed=1, grid=[0.08, 0.12, 0.16, 0.2, 0.24, 0.28])
+            curve_sweep(valid, test, cfg, grid=[0.08, 0.12, 0.16, 0.2, 0.24, 0.28])
 
 
 _SWEEP_UNTIL_KILLED = """
 import os, sys
 import rejectopt.harness as harness
-from rejectopt.data import SplitSpec, stratified_split, synth_two_gaussian
+from rejectopt.data import stratified_split, synth_two_gaussian
 from rejectopt.moba import MobaConfig, evolve
 
 def evolve_recording_pid(valid, cfg):
@@ -411,10 +407,8 @@ def evolve_recording_pid(valid, cfg):
 
 harness.evolve = evolve_recording_pid
 harness._usable_cpus = lambda: 2
-_, valid, test = stratified_split(
-    synth_two_gaussian(80, 120, 0.8, -0.8, 1.0, seed=33), SplitSpec(0.6, 0.2, 0.2, seed=4)
-)
-harness.curve_sweep(valid, test, MobaConfig(p_max=0.5, n_max=0.5), seed=1, grid=[0.1] * 10_000)
+valid, test = stratified_split(synth_two_gaussian(80, 120, 0.8, -0.8, 1.0, seed=33), seed=4)
+harness.curve_sweep(valid, test, MobaConfig(p_max=0.5, n_max=0.5, seed=1), grid=[0.1] * 10_000)
 """
 
 
@@ -467,8 +461,8 @@ class TestCsvWriters:
 
     def test_curve_csv_sorted_and_nan(self, tmp_path, splits):
         valid, test = splits
-        cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=12, gensize=15)
-        points = curve_sweep(valid, test, cfg, seed=2, grid=[0.24, 0.08])
+        cfg = MobaConfig(p_max=0.5, n_max=0.5, popsize=12, gensize=15, seed=2)
+        points = curve_sweep(valid, test, cfg, grid=[0.24, 0.08])
         path = tmp_path / "k.csv"
         write_curve_csv(path, points)
         lines = path.read_text().strip().split("\n")

@@ -186,3 +186,22 @@ def test_only_cli_imports_json_and_the_charts():
         if module.partition(".")[0] in ("json", "charts")
     ]
     assert imports == []
+
+
+def test_public_api_is_what_the_readme_demos_and_cli_name():
+    """Every name the package root imports appears in the README, a demo or
+    cli.py; a name only tests use belongs in its own module, not the root."""
+    tree = ast.parse(REEXPORTS.read_text(encoding="utf-8"))
+    exported = [
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert len(exported) > 20
+    users = [ROOT / "README.md", ROOT / "src" / "rejectopt" / "cli.py"]
+    texts = [path.read_text(encoding="utf-8") for path in users + sorted(ROOT.glob("demos/*.py"))]
+    unnamed = [
+        name for name in exported if not any(re.search(rf"\b{name}\b", text) for text in texts)
+    ]
+    assert unnamed == []

@@ -11,11 +11,11 @@ from rejectopt.metrics import (
     CostMatrix,
     RejectionConfusion,
     ThresholdPair,
-    classify_with_rejection,
     confusion_counts,
     empirical_priors,
     essential_metrics,
     expected_cost,
+    score_pairs,
 )
 
 
@@ -34,6 +34,10 @@ def make_dataset(pairs):
     return ScoredDataset([s for s, _ in pairs], [l for _, l in pairs])
 
 
+def classify(data, t):
+    return score_pairs(data, [t])[0].counts
+
+
 class TestThresholdPair:
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -50,18 +54,18 @@ class TestThresholdPair:
 class TestClassifyWithRejection:
     def test_degenerate_pair_is_plain_rule(self):
         data = make_dataset([(0.9, 1), (0.1, -1)])
-        c = classify_with_rejection(data, ThresholdPair(0.5, 0.5))
+        c = classify(data, ThresholdPair(0.5, 0.5))
         assert (c.tp, c.fn, c.rp, c.fp, c.tn, c.rn) == (1, 0, 0, 0, 1, 0)
 
     def test_hand_enumerated_band(self):
         data = make_dataset([(0.9, 1), (0.7, 1), (0.6, -1), (0.4, -1), (0.3, 1)])
-        c = classify_with_rejection(data, ThresholdPair(0.35, 0.65))
+        c = classify(data, ThresholdPair(0.35, 0.65))
         assert (c.tp, c.fn, c.rp, c.fp, c.tn, c.rn) == (2, 1, 0, 0, 0, 2)
 
     def test_tie_handling_is_exact(self):
         # boundary scores: s > t2 positive, s <= t1 negative, (t1, t2] rejected
         data = make_dataset([(0.2, -1), (0.5, -1), (0.8, 1)])
-        c = classify_with_rejection(data, ThresholdPair(0.2, 0.8))
+        c = classify(data, ThresholdPair(0.2, 0.8))
         assert (c.tn, c.rn, c.rp, c.tp) == (1, 1, 1, 0)
 
     def test_class_conservation_random(self):
@@ -70,14 +74,14 @@ class TestClassifyWithRejection:
         lo, hi = data.score_range()
         for _ in range(200):
             a, b = sorted(rng.uniform(lo - 0.5, hi + 0.5, 2))
-            c = classify_with_rejection(data, ThresholdPair(a, b))
+            c = classify(data, ThresholdPair(a, b))
             assert c.tp + c.fn + c.rp == data.n_pos
             assert c.fp + c.tn + c.rn == data.n_neg
 
     def test_degenerate_rejects_nothing(self):
         data = synth_two_gaussian(20, 20, 0.5, -0.5, 1.0, seed=4)
         for t in np.linspace(-2, 2, 17):
-            c = classify_with_rejection(data, ThresholdPair(t, t))
+            c = classify(data, ThresholdPair(t, t))
             assert c.rp == 0 and c.rn == 0
 
     def test_rejection_monotonicity(self):
@@ -87,17 +91,17 @@ class TestClassifyWithRejection:
             t1 = rng.uniform(-2, 1)
             t2a = rng.uniform(t1, 2)
             t2b = rng.uniform(t2a, 2.5)
-            ca = classify_with_rejection(data, ThresholdPair(t1, t2a))
-            cb = classify_with_rejection(data, ThresholdPair(t1, t2b))
+            ca = classify(data, ThresholdPair(t1, t2a))
+            cb = classify(data, ThresholdPair(t1, t2b))
             assert cb.rp >= ca.rp and cb.rn >= ca.rn
             t1_lower = rng.uniform(-2.5, t1)
-            cc = classify_with_rejection(data, ThresholdPair(t1_lower, t2a))
+            cc = classify(data, ThresholdPair(t1_lower, t2a))
             assert cc.rp >= ca.rp and cc.rn >= ca.rn
 
     def test_same_partition_same_confusion(self):
         data = make_dataset([(0.1, -1), (0.4, -1), (0.6, 1), (0.9, 1)])
-        a = classify_with_rejection(data, ThresholdPair(0.2, 0.7))
-        b = classify_with_rejection(data, ThresholdPair(0.35, 0.65))
+        a = classify(data, ThresholdPair(0.2, 0.7))
+        b = classify(data, ThresholdPair(0.35, 0.65))
         assert a == b
 
 
@@ -121,7 +125,7 @@ class TestConfusionCounts:
 
     def test_one_pair_call_is_classify(self):
         data = synth_two_gaussian(30, 40, 0.5, -0.5, 1.0, seed=3)
-        c = classify_with_rejection(data, ThresholdPair(-0.3, 0.4))
+        c = classify(data, ThresholdPair(-0.3, 0.4))
         counts = confusion_counts(data, [-0.3], [0.4])
         assert [int(a[0]) for a in counts] == [c.tp, c.fn, c.rp, c.fp, c.tn, c.rn]
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rejectopt.cli import pareto_document
 from rejectopt.data import ScoredDataset, synth_two_gaussian
-from rejectopt.metrics import ThresholdPair, classify_with_rejection, essential_metrics
+from rejectopt.metrics import ThresholdPair, essential_metrics, score_pairs
 from rejectopt.moba import (
     MobaConfig,
     evaluate_batch,
@@ -50,7 +50,7 @@ class TestEvaluate:
 
     def test_batch_equals_per_pair_floats(self):
         def per_pair(t, data, p_max, n_max):
-            m = essential_metrics(classify_with_rejection(data, t))
+            m = score_pairs(data, [t])[0].metrics
             if not (m.rpr <= p_max and m.rnr <= n_max and t.t1 < t.t2):
                 return (1.0, 1.0), False
             if m.fpr_cls is None or m.fnr_cls is None:  # a fully rejected class
@@ -176,7 +176,7 @@ class TestEvolve:
         )
         assert all(feasible)
         for s, obj in zip(res.pareto, objs):
-            assert s.counts == classify_with_rejection(data, s.thresholds)
+            assert s.counts == score_pairs(data, [s.thresholds])[0].counts
             assert s.metrics == essential_metrics(s.counts)
             assert s.objectives == obj
 
